@@ -1,10 +1,12 @@
 #include "cli/serve.hpp"
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -188,15 +190,9 @@ std::string execute_ingest(QueryEngine& engine, const std::string& line) {
   }
 }
 
-/// Reads query lines from `in`, executing each batch (delimited by a
-/// blank line, "quit" or EOF) concurrently on the shared pool and
-/// writing responses to `out` in submission order. A final line without
-/// a trailing newline is still a complete query: CarryLineReader::finish
-/// delivers it before the EOF flush, so `printf 'cdf 0' | odtn serve`
-/// answers rather than silently dropping the request. `ingest` lines
-/// are sequencing points: the pending batch is answered on the
-/// pre-ingest graph, then the append runs alone.
-void serve_stream(QueryEngine& engine, std::FILE* in, std::FILE* out) {
+}  // namespace
+
+void serve_stream(QueryEngine& engine, int in_fd, std::FILE* out) {
   std::vector<std::string> batch;
   const auto flush_batch = [&] {
     if (batch.empty()) return;
@@ -235,16 +231,22 @@ void serve_stream(QueryEngine& engine, std::FILE* in, std::FILE* out) {
     }
   };
 
+  // ::read returns whatever bytes are available, so a client that
+  // writes one batch and waits gets its replies now; a buffered fread
+  // would hold them until 64 KiB or EOF arrived.
   CarryLineReader lines;
   char chunk[1 << 16];
   while (!quit) {
-    const std::size_t got = std::fread(chunk, 1, sizeof chunk, in);
-    if (got == 0) break;
-    lines.feed(chunk, got, handle_line);
+    const ssize_t got = ::read(in_fd, chunk, sizeof chunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    lines.feed(chunk, static_cast<std::size_t>(got), handle_line);
   }
   lines.finish(handle_line);
   flush_batch();
 }
+
+namespace {
 
 int serve_socket(QueryEngine& engine, const std::string& path, bool once) {
   sockaddr_un addr{};
@@ -273,11 +275,12 @@ int serve_socket(QueryEngine& engine, const std::string& path, bool once) {
       status = 1;
       break;
     }
-    std::FILE* in = ::fdopen(conn, "r");
     std::FILE* out = ::fdopen(::dup(conn), "w");
-    if (in && out) serve_stream(engine, in, out);
-    if (in) std::fclose(in);  // closes conn
-    if (out) std::fclose(out);
+    if (out) {
+      serve_stream(engine, conn, out);
+      std::fclose(out);
+    }
+    ::close(conn);
     if (once) break;
   }
   ::close(fd);
@@ -370,13 +373,13 @@ int cmd_serve(ArgList args) {
 
   if (socket_path) return serve_socket(engine, *socket_path, once);
 
-  std::FILE* in = stdin;
+  int in = STDIN_FILENO;
   if (input) {
-    in = std::fopen(input->c_str(), "r");
-    if (!in) throw CliError("cannot open --input file '" + *input + "'");
+    in = ::open(input->c_str(), O_RDONLY | O_CLOEXEC);
+    if (in < 0) throw CliError("cannot open --input file '" + *input + "'");
   }
   serve_stream(engine, in, stdout);
-  if (in != stdin) std::fclose(in);
+  if (in != STDIN_FILENO) ::close(in);
   return 0;
 }
 

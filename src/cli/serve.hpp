@@ -34,12 +34,29 @@
 // %.17g so repeated batches can be diffed bit-exactly (strip us= first).
 #pragma once
 
+#include <cstdio>
+
 #include "cli/args.hpp"
+
+namespace odtn {
+class QueryEngine;
+}
 
 namespace odtn::cli {
 
 int cmd_snapshot(ArgList args);
 int cmd_serve(ArgList args);
 int cmd_tail(ArgList args);
+
+/// The serve protocol loop: reads query lines from `in_fd` as they
+/// arrive, executes each batch (delimited by a blank line, "quit" or
+/// EOF) concurrently on the shared pool and writes its responses to
+/// `out` in submission order, flushed before the next read -- so a
+/// client on a pipe or socket gets each batch's replies without closing
+/// its end. A final line without a trailing newline is still a complete
+/// query. `ingest` lines are sequencing points: the pending batch is
+/// answered on the pre-ingest graph, then the append runs alone. Does
+/// not close `in_fd`.
+void serve_stream(QueryEngine& engine, int in_fd, std::FILE* out);
 
 }  // namespace odtn::cli

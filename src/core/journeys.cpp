@@ -1,18 +1,28 @@
 #include "core/journeys.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
-#include "core/optimal_paths.hpp"
+#include "sim/flooding.hpp"
 
 namespace odtn {
 
 std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
                                             NodeId source, int max_levels) {
+  SingleSourceEngine engine(graph, source);
+  return compute_journeys(graph, engine, max_levels);
+}
+
+std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
+                                            SingleSourceEngine& engine,
+                                            int max_levels) {
+  if (engine.hops() != 0 || engine.at_fixpoint())
+    throw std::logic_error("compute_journeys: engine is not at hop 0");
+  const NodeId source = engine.source();
   std::vector<JourneyOptima> out(graph.num_nodes());
   out[source].shortest_hops = 0;
   out[source].fastest_duration = 0.0;
 
-  SingleSourceEngine engine(graph, source);
   // Shortest journeys: the hop level at which each destination first
   // becomes reachable at all.
   while (engine.step()) {
@@ -44,9 +54,8 @@ std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
 double foremost_arrival(const TemporalGraph& graph, NodeId source,
                         NodeId destination, double start_time,
                         int max_levels) {
-  SingleSourceEngine engine(graph, source);
-  engine.run_to_fixpoint(max_levels);
-  return engine.frontier_view(destination).deliver_at(start_time);
+  return flood(graph, source, start_time, max_levels)
+      .best_arrival(destination);
 }
 
 }  // namespace odtn

@@ -7,16 +7,18 @@
 //             regardless of when it happens;
 //   SHORTEST: use as few hops as possible, regardless of time.
 //
-// All three fall out of the library's Pareto frontiers: foremost is a
-// point query on del, fastest is the minimum of max(0, EA - LD) over
-// the frontier, and shortest is the first hop level at which the
-// destination becomes reachable at all. This header packages them as a
-// single per-source analysis.
+// Fastest and shortest fall out of the library's Pareto frontiers:
+// fastest is the minimum of max(0, EA - LD) over the frontier, and
+// shortest is the first hop level at which the destination becomes
+// reachable at all. Foremost is a point query on del, which hop-bounded
+// flooding (sim/flooding.hpp) answers without the frontiers. This header
+// packages them as a single per-source analysis.
 #pragma once
 
 #include <limits>
 #include <vector>
 
+#include "core/optimal_paths.hpp"
 #include "core/temporal_graph.hpp"
 
 namespace odtn {
@@ -46,9 +48,18 @@ std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
                                             NodeId source,
                                             int max_levels = 64);
 
+/// Same, on a caller-owned engine over `graph` at hop 0 (just built or
+/// reset to the journeys' source), so a server can recycle one engine
+/// workspace across queries. Throws std::logic_error if the engine
+/// already stepped.
+std::vector<JourneyOptima> compute_journeys(const TemporalGraph& graph,
+                                            SingleSourceEngine& engine,
+                                            int max_levels = 64);
+
 /// Foremost arrival: earliest delivery at `destination` of a message
-/// created at `start_time` (same as the engine's del(t); provided for
-/// API symmetry with the other two notions).
+/// created at `start_time` with at most `max_levels` contacts (the
+/// engine's del(t), computed by flooding; provided for API symmetry
+/// with the other two notions).
 double foremost_arrival(const TemporalGraph& graph, NodeId source,
                         NodeId destination, double start_time,
                         int max_levels = 64);

@@ -145,6 +145,15 @@ void SingleSourceEngine::reset(NodeId source) {
   ++stats_.workspace_reuses;
 }
 
+void SingleSourceEngine::recycle(NodeId source) {
+  arena_.restart_accounting();
+  delta_arena_[0].restart_accounting();
+  delta_arena_[1].restart_accounting();
+  reset(source);
+  stats_ = EngineStats{};
+  stats_.workspace_allocations = 1;
+}
+
 void SingleSourceEngine::track_changes(bool enable) {
   if (enable && mode_ == EngineMode::kLevelSweep)
     throw std::logic_error(
@@ -189,9 +198,9 @@ void SingleSourceEngine::record_arena_peaks() noexcept {
   const std::size_t pairs = arena_.size() + delta_arena_[0].size() +
                             delta_arena_[1].size();
   if (pairs > stats_.pairs_peak) stats_.pairs_peak = pairs;
-  const std::size_t bytes = arena_.capacity_bytes() +
-                            delta_arena_[0].capacity_bytes() +
-                            delta_arena_[1].capacity_bytes();
+  const std::size_t bytes = arena_.accounted_bytes() +
+                            delta_arena_[0].accounted_bytes() +
+                            delta_arena_[1].accounted_bytes();
   if (bytes > stats_.arena_bytes_peak) stats_.arena_bytes_peak = bytes;
 }
 

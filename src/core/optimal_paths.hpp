@@ -97,8 +97,9 @@ struct EngineStats {
   /// an aggregate reports the largest single-engine footprint -- flat
   /// across sources once the first source warmed the slabs up.
   std::uint64_t pairs_peak = 0;
-  /// Peak bytes committed to the engine's arenas. kPooled only; merged
-  /// by max, like pairs_peak.
+  /// Peak bytes committed to the engine's arenas (as if grown from empty
+  /// at construction or the last recycle()). kPooled only; merged by
+  /// max, like pairs_peak.
   std::uint64_t arena_bytes_peak = 0;
   /// Serve-path result cache (core/query_engine.hpp): sources answered
   /// from a cached CDF partial without touching a propagation engine.
@@ -147,6 +148,8 @@ struct EngineStats {
     batch_lane_steps += other.batch_lane_steps;
     batch_lane_slots += other.batch_lane_slots;
   }
+
+  bool operator==(const EngineStats&) const = default;
 };
 
 /// Extends every usable pair of `from` through one contact edge
@@ -211,6 +214,13 @@ class SingleSourceEngine {
   /// in stats().workspace_reuses; change tracking (track_changes)
   /// survives the reset.
   void reset(NodeId source);
+
+  /// reset(source) for a workspace kept from an earlier query: the
+  /// counters restart as if the engine had just been constructed (stats
+  /// zeroed, one workspace allocation, arena bytes accounted from empty
+  /// slabs -- PairArena::accounted_bytes), so a caller that recycles
+  /// engines across queries reports exactly a fresh engine's stats.
+  void recycle(NodeId source);
 
   /// Enables pre-change frontier snapshots: after each step() that
   /// changed something, last_changed() lists the nodes whose frontier

@@ -1,6 +1,7 @@
 #include "core/query_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <optional>
@@ -8,6 +9,7 @@
 #include <utility>
 
 #include "core/sharded_engine.hpp"
+#include "sim/flooding.hpp"
 #include "util/thread_pool.hpp"
 
 namespace odtn {
@@ -66,7 +68,33 @@ void QueryEngine::rebuild_key_prefix() {
 std::uint64_t QueryEngine::ingest(std::span<const Contact> batch) {
   const std::uint64_t epoch = graph_.append_contacts(batch);
   rebuild_key_prefix();
+  const std::lock_guard<std::mutex> lock(workspace_mutex_);
+  free_workspaces_.clear();
   return epoch;
+}
+
+std::unique_ptr<QueryEngine::Workspace> QueryEngine::checkout_workspace()
+    const {
+  std::unique_ptr<Workspace> workspace;
+  {
+    const std::lock_guard<std::mutex> lock(workspace_mutex_);
+    if (!free_workspaces_.empty()) {
+      workspace = std::move(free_workspaces_.back());
+      free_workspaces_.pop_back();
+    }
+  }
+  if (!workspace)
+    return std::make_unique<Workspace>(
+        Workspace{SourceCdfWorker{}, SourceCdfPartial(options_.grid,
+                                                      options_.max_hops)});
+  workspace->worker.recycle();
+  return workspace;
+}
+
+void QueryEngine::checkin_workspace(
+    std::unique_ptr<Workspace> workspace) const {
+  const std::lock_guard<std::mutex> lock(workspace_mutex_);
+  free_workspaces_.push_back(std::move(workspace));
 }
 
 std::size_t QueryEngine::cached_partial_bytes() const noexcept {
@@ -181,13 +209,9 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
   // Same shape as compute_delay_cdf's driver (core/diameter.cpp), with
   // a cache probe in front of process_source. Hits and misses all land
   // in the folder in ascending source order, so mixing them changes no
-  // bit of the answer -- see the header's contract.
-  std::vector<SourceCdfWorker> workers(pool.num_workers());
-  std::vector<SourceCdfPartial> scratch;
-  scratch.reserve(pool.num_workers());
-  for (unsigned t = 0; t < pool.num_workers(); ++t)
-    scratch.emplace_back(options.grid, options.max_hops);
-
+  // bit of the answer -- see the header's contract. A worker slot checks
+  // out a workspace on its first miss, so an all-hit query takes none.
+  std::vector<std::unique_ptr<Workspace>> slots(pool.num_workers());
   pool.parallel_for(sources.size(), [&](std::size_t i, unsigned worker) {
     const std::string key = query_key(sources[i], w);
     if (const std::shared_ptr<const SourceCdfPartial> hit = cache_->get(key)) {
@@ -196,11 +220,13 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
       return;
     }
     ++counters[worker].misses;
-    SourceCdfPartial& partial = scratch[worker];
+    std::unique_ptr<Workspace>& slot = slots[worker];
+    if (!slot) slot = checkout_workspace();
+    SourceCdfPartial& partial = slot->partial;
     partial.clear();
     process_source(graph_, sources[i], all_nodes_, is_endpoint_, w,
                    options.max_hops, options.max_levels, options.engine,
-                   incremental, workers[worker], partial);
+                   incremental, slot->worker, partial);
     counters[worker].evictions +=
         cache_->put(key, std::make_shared<SourceCdfPartial>(partial),
                     partial_cost + key.size());
@@ -208,7 +234,11 @@ DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
   });
 
   EngineStats stats;
-  for (const SourceCdfWorker& worker : workers) stats.merge(worker.take_stats());
+  for (std::unique_ptr<Workspace>& slot : slots) {
+    if (!slot) continue;
+    stats.merge(slot->worker.take_stats());
+    checkin_workspace(std::move(slot));
+  }
   for (const CacheCounters& c : counters) {
     stats.cache_hits += c.hits;
     stats.cache_misses += c.misses;
@@ -231,20 +261,29 @@ DelayCdfResult QueryEngine::all_pairs(double t_lo, double t_hi) {
 std::size_t QueryEngine::reachable_count(NodeId source, double t) const {
   if (source >= graph_.num_nodes())
     throw std::invalid_argument("QueryEngine::reachable_count: bad source");
-  SingleSourceEngine engine(graph_, source, options_.engine);
-  engine.run_to_fixpoint(options_.max_levels);
+  if (!std::isfinite(t))
+    throw std::invalid_argument(
+        "QueryEngine::reachable_count: non-finite start time");
+  // Same hop cap, usability test (arrival <= contact end) and arrival
+  // rule (max(arrival, begin)) as the DP's deliver_at(t): a node counts
+  // iff its delivery function is finite at t.
+  const FloodingResult f = flood(graph_, source, t, options_.max_levels);
   std::size_t reached = 0;
-  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
-    if (n == source) continue;
-    if (engine.frontier_view(n).deliver_at(t) < 1e300) ++reached;
-  }
+  for (NodeId n = 0; n < graph_.num_nodes(); ++n)
+    if (n != source && std::isfinite(f.best_arrival(n))) ++reached;
   return reached;
 }
 
 JourneyOptima QueryEngine::journey(NodeId source, NodeId destination) const {
   if (source >= graph_.num_nodes() || destination >= graph_.num_nodes())
     throw std::invalid_argument("QueryEngine::journey: bad node id");
-  return compute_journeys(graph_, source, options_.max_levels)[destination];
+  std::unique_ptr<Workspace> workspace = checkout_workspace();
+  SingleSourceEngine& engine =
+      workspace->worker.engine_for(graph_, source, options_.engine);
+  const JourneyOptima j =
+      compute_journeys(graph_, engine, options_.max_levels)[destination];
+  checkin_workspace(std::move(workspace));
+  return j;
 }
 
 }  // namespace odtn

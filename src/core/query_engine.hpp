@@ -24,12 +24,31 @@
 // resolved start-time windows' bit patterns, and the source id. Engines
 // over different graphs can therefore safely SHARE one cache (pass the
 // same shared_ptr): keys from different transform chains never collide.
+//
+// Each verb does only the work its answer needs:
+//
+//   source_cdf / all_pairs  cache probe per source, then the Pareto
+//                           (LD, EA) DP + CDF integration on a miss;
+//   reachable_count         one hop-bounded earliest-arrival flood
+//                           (sim/flooding.hpp), no frontiers at all;
+//   journey                 one DP run (shortest hops per level, fastest
+//                           off the final frontiers), no cache.
+//
+// Engine workspaces (SourceCdfWorker: the recycled SingleSourceEngine
+// plus a scratch partial) outlive queries in a mutex-guarded free list.
+// A query checks a workspace out the first time one of its worker slots
+// computes a source, owns it exclusively until the query ends, then
+// returns it; a query that finds the list empty builds a fresh one. So
+// concurrent queries (serve batches) and nested inline runs never share
+// a workspace, and a recycled workspace reports exactly a fresh one's
+// EngineStats (SourceCdfWorker::recycle).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,11 +114,13 @@ class QueryEngine {
   DelayCdfResult all_pairs(double t_lo = kWholeSpan, double t_hi = kWholeSpan);
 
   /// Number of nodes (excluding the source) reachable by a message
-  /// created at `source` at time `t`, unlimited hops.
+  /// created at `source` at time `t` with at most max_levels contacts:
+  /// the nodes whose flooding optimum del(t) is finite. Throws
+  /// std::invalid_argument for a bad source or a non-finite `t`.
   std::size_t reachable_count(NodeId source, double t) const;
 
   /// Journey optima (foremost/fastest/shortest) from source to
-  /// destination.
+  /// destination, on a recycled engine workspace.
   JourneyOptima journey(NodeId source, NodeId destination) const;
 
   /// Appends one canonical-order contact batch to the served graph
@@ -110,6 +131,7 @@ class QueryEngine {
   /// read-only); the underlying append throws std::logic_error. Not
   /// thread-safe against concurrent queries on this engine: callers
   /// serialize ingest against query execution (the serve loop does).
+  /// Idle engine workspaces are dropped with the old graph.
   /// Returns the graph epoch after the append.
   std::uint64_t ingest(std::span<const Contact> batch);
 
@@ -129,12 +151,22 @@ class QueryEngine {
   std::string query_key(NodeId source, const TimeWindows& windows) const;
   void rebuild_key_prefix();
 
+  /// One worker slot's recyclable state (see the file comment).
+  struct Workspace {
+    SourceCdfWorker worker;
+    SourceCdfPartial partial;
+  };
+  std::unique_ptr<Workspace> checkout_workspace() const;
+  void checkin_workspace(std::unique_ptr<Workspace> workspace) const;
+
   TemporalGraph graph_;
   QueryEngineOptions options_;
   std::shared_ptr<ServeCache> cache_;
   std::string key_prefix_;  // transform key + engine/grid fingerprint
   std::vector<NodeId> all_nodes_;
   std::vector<std::uint8_t> is_endpoint_;  // all-ones mask over nodes
+  mutable std::mutex workspace_mutex_;
+  mutable std::vector<std::unique_ptr<Workspace>> free_workspaces_;
 };
 
 }  // namespace odtn

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/optimal_paths.hpp"
+#include "sim/flooding.hpp"
 #include "util/time_format.hpp"
 
 namespace odtn {
@@ -48,13 +49,9 @@ std::vector<std::size_t> out_component_sizes(const TemporalGraph& graph,
                                               int max_levels) {
   std::vector<std::size_t> sizes(graph.num_nodes(), 0);
   for (NodeId src = 0; src < graph.num_nodes(); ++src) {
-    SingleSourceEngine engine(graph, src);
-    engine.run_to_fixpoint(max_levels);
-    for (NodeId dst = 0; dst < graph.num_nodes(); ++dst) {
-      if (dst == src) continue;
-      if (start_time <= engine.frontier_view(dst).last_departure())
-        ++sizes[src];
-    }
+    const FloodingResult f = flood(graph, src, start_time, max_levels);
+    for (NodeId dst = 0; dst < graph.num_nodes(); ++dst)
+      if (dst != src && std::isfinite(f.best_arrival(dst))) ++sizes[src];
   }
   return sizes;
 }

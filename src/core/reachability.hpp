@@ -3,9 +3,10 @@
 // Complements the delay-CDF machinery with coarser connectivity
 // questions: which pairs can EVER communicate from a given instant, how
 // does that fraction evolve over the trace, and how large is the
-// "temporal out-component" of each node. All answers derive from the
-// delivery-function frontiers, so they cost one engine fixpoint per
-// source.
+// "temporal out-component" of each node. Questions about every start
+// time derive from the delivery-function frontiers (one engine fixpoint
+// per source); out-components from one start time need only one
+// hop-bounded flood per source (sim/flooding.hpp).
 #pragma once
 
 #include <utility>

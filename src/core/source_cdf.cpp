@@ -112,13 +112,7 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
                                 int max_levels, EngineMode mode,
                                 SourceCdfWorker& worker,
                                 SourceCdfPartial& out) {
-  if (!worker.engine) {
-    worker.engine.emplace(graph, src, mode);
-    worker.engine->track_changes(true);
-  } else {
-    worker.engine->reset(src);
-  }
-  SingleSourceEngine& engine = *worker.engine;
+  SingleSourceEngine& engine = worker.engine_for(graph, src, mode);
 
   // Observation measure for every (src, dst) pair of this source parks
   // in the hop-1 accumulator; prefix_merge propagates it to every hop
@@ -162,6 +156,8 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
   if (!options.windows.empty()) {
     double prev = -std::numeric_limits<double>::infinity();
     for (const auto& [lo, hi] : options.windows) {
+      if (std::isinf(lo) || std::isinf(hi))
+        throw std::invalid_argument("compute_delay_cdf: infinite window");
       if (!(lo <= hi) || lo < prev)
         throw std::invalid_argument(
             "compute_delay_cdf: windows must be disjoint and increasing");
@@ -170,6 +166,12 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
     return options.windows;
   }
   double lo = options.t_lo, hi = options.t_hi;
+  if (std::isinf(lo) || std::isinf(hi))
+    throw std::invalid_argument(
+        "compute_delay_cdf: infinite start-time bound");
+  if (lo == hi)  // both explicit: NaN never compares equal
+    throw std::invalid_argument(
+        "compute_delay_cdf: zero-measure start-time window");
   if (std::isnan(lo)) lo = graph.start_time();
   if (std::isnan(hi)) hi = graph.end_time();
   if (!(lo <= hi))
@@ -232,9 +234,28 @@ void SourceCdfPartial::merge_from(const SourceCdfPartial& other) {
   converged = converged && other.converged;
 }
 
+void SourceCdfWorker::recycle() noexcept {
+  stats = EngineStats{};
+  stale = engine.has_value();
+}
+
+SingleSourceEngine& SourceCdfWorker::engine_for(const TemporalGraph& graph,
+                                                NodeId src, EngineMode mode) {
+  if (!engine) {
+    engine.emplace(graph, src, mode);
+    if (mode != EngineMode::kLevelSweep) engine->track_changes(true);
+  } else if (stale) {
+    engine->recycle(src);
+  } else {
+    engine->reset(src);
+  }
+  stale = false;
+  return *engine;
+}
+
 EngineStats SourceCdfWorker::take_stats() const {
   EngineStats out = stats;
-  if (engine) out.merge(engine->stats());
+  if (engine && !stale) out.merge(engine->stats());
   return out;
 }
 

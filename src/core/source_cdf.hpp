@@ -36,8 +36,10 @@ namespace odtn {
 using TimeWindows = std::vector<std::pair<double, double>>;
 
 /// Resolves the options' start-time windows against the graph span.
-/// Throws std::invalid_argument on overlapping/decreasing windows or an
-/// empty [t_lo, t_hi].
+/// Throws std::invalid_argument on overlapping/decreasing or infinite
+/// windows, an infinite t_lo or t_hi, an empty [t_lo, t_hi], and a
+/// zero-measure one given explicitly (t_lo == t_hi, both set). A NaN
+/// t_lo / t_hi means "unset": the trace's start / end.
 TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
                                 const DelayCdfOptions& options);
 
@@ -85,8 +87,21 @@ struct SourceCdfPartial {
 struct SourceCdfWorker {
   std::optional<SingleSourceEngine> engine;
   EngineStats stats;
+  /// The engine's counters belong to an earlier query (see recycle()).
+  bool stale = false;
 
-  /// Worker counters plus the recycled engine's counters (if any).
+  /// Readies a worker kept from an earlier query for a new one: its
+  /// counters restart, and the engine's restart on its next use
+  /// (SingleSourceEngine::recycle), so take_stats() reports exactly what
+  /// a freshly built worker would.
+  void recycle() noexcept;
+
+  /// The worker's engine bound to `src` at hop 0: built on first use
+  /// (with change tracking in the delta modes), reset afterwards.
+  SingleSourceEngine& engine_for(const TemporalGraph& graph, NodeId src,
+                                 EngineMode mode);
+
+  /// Worker counters plus the engine's counters (if it ran this query).
   EngineStats take_stats() const;
 };
 

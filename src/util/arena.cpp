@@ -19,15 +19,21 @@ void free_lane(double* lane) noexcept {
 
 }  // namespace
 
-void PairArena::grow(std::size_t needed) {
+std::size_t PairArena::grown_capacity(std::size_t cap,
+                                      std::size_t needed) noexcept {
   // Geometric growth keeps the amortized allocate() cost constant; the
   // floor avoids a flurry of tiny reallocations while the first source
-  // warms the slab up. std::vector is no longer usable here: its buffer
-  // is only alignof(double)-aligned, while the SIMD kernels need every
-  // lane base on a 32-byte boundary.
+  // warms the slab up.
   constexpr std::size_t kMinCapacity = 256;
-  std::size_t cap = std::max({needed, cap_ * 2, kMinCapacity});
-  cap = (cap + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
+  const std::size_t grown = std::max({needed, cap * 2, kMinCapacity});
+  return (grown + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
+}
+
+void PairArena::grow(std::size_t needed) {
+  // std::vector is no longer usable here: its buffer is only
+  // alignof(double)-aligned, while the SIMD kernels need every lane base
+  // on a 32-byte boundary.
+  const std::size_t cap = grown_capacity(cap_, needed);
   const auto regrow = [&](double*& lane) {
     double* next = alloc_lane(cap);
     if (lane != nullptr) {
@@ -56,11 +62,12 @@ void PairArena::move_from(PairArena& other) noexcept {
   ea_ = other.ea_;
   aux_ = other.aux_;
   cap_ = other.cap_;
+  fresh_cap_ = other.fresh_cap_;
   size_ = other.size_;
   peak_pairs_ = other.peak_pairs_;
   with_aux_ = other.with_aux_;
   other.ld_ = other.ea_ = other.aux_ = nullptr;
-  other.cap_ = other.size_ = other.peak_pairs_ = 0;
+  other.cap_ = other.fresh_cap_ = other.size_ = other.peak_pairs_ = 0;
 }
 
 }  // namespace odtn

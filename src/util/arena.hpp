@@ -75,6 +75,7 @@ class PairArena {
     size_ = (size_ + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
     const std::size_t offset = size_;
     size_ += n;
+    if (size_ > fresh_cap_) fresh_cap_ = grown_capacity(fresh_cap_, size_);
     if (size_ > cap_) grow(size_);
     if (size_ > peak_pairs_) peak_pairs_ = size_;
     return offset;
@@ -104,6 +105,18 @@ class PairArena {
     return cap_ * sizeof(double) * (with_aux_ ? 3 : 2);
   }
 
+  /// Bytes an arena built empty at the last restart_accounting() (or at
+  /// construction) would have committed for the same allocate() calls.
+  /// Equals capacity_bytes() until the first restart; after one, a
+  /// recycled arena reports what a fresh one would, although its slabs
+  /// keep their larger capacity.
+  std::size_t accounted_bytes() const noexcept {
+    return fresh_cap_ * sizeof(double) * (with_aux_ ? 3 : 2);
+  }
+
+  /// Restarts the growth accounting behind accounted_bytes().
+  void restart_accounting() noexcept { fresh_cap_ = 0; }
+
   double* ld() noexcept { return ld_; }
   const double* ld() const noexcept { return ld_; }
   double* ea() noexcept { return ea_; }
@@ -112,6 +125,10 @@ class PairArena {
   const double* aux() const noexcept { return aux_; }
 
  private:
+  /// The capacity grow() moves to from `cap` when `needed` pairs do not
+  /// fit: geometric, with a floor, rounded to the span alignment.
+  static std::size_t grown_capacity(std::size_t cap,
+                                    std::size_t needed) noexcept;
   void grow(std::size_t needed);
   void release() noexcept;
   void move_from(PairArena& other) noexcept;
@@ -120,6 +137,7 @@ class PairArena {
   double* ea_ = nullptr;
   double* aux_ = nullptr;
   std::size_t cap_ = 0;
+  std::size_t fresh_cap_ = 0;  // see accounted_bytes()
   std::size_t size_ = 0;
   std::size_t peak_pairs_ = 0;
   bool with_aux_ = false;

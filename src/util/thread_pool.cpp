@@ -63,6 +63,10 @@ void ThreadPool::worker_loop(unsigned worker_id) {
 void ThreadPool::parallel_for(
     std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
   if (n == 0) return;
+  if (n == 1) {
+    fn(0, /*worker_id=*/0);
+    return;
+  }
   bool expected = false;
   if (!busy_.compare_exchange_strong(expected, true,
                                      std::memory_order_acquire)) {

@@ -41,7 +41,9 @@ class ThreadPool {
   /// Runs fn(index, worker) for every index in [0, n), handing indices
   /// out dynamically (work stealing via a shared cursor). Blocks until
   /// all indices completed. The first exception thrown by `fn` is
-  /// rethrown here.
+  /// rethrown here. A single item (n == 1) runs inline on the caller as
+  /// worker 0 without waking the pool: one-source queries would
+  /// otherwise pay a wake-up of every worker for nothing to share.
   ///
   /// The pool runs one distributed job at a time: the job state
   /// (cursor, generation) is a single slot. A parallel_for issued while

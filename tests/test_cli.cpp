@@ -1,12 +1,19 @@
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "cli/serve.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 
+#include "core/query_engine.hpp"
+#include "stats/log_grid.hpp"
 #include "trace/trace_io.hpp"
 #include "util/time_format.hpp"
 
@@ -358,6 +365,67 @@ TEST_F(CliServe, ServeIngestAppendsAndRefreshesAnswers) {
   EXPECT_NE(out.find("ingest ok epoch=1 contacts=3"), std::string::npos);
   EXPECT_NE(out.find("reach src=2 t=0 count=2"), std::string::npos);
   EXPECT_NE(out.find("error"), std::string::npos);
+}
+
+TEST_F(CliServe, ServeRejectsNonFiniteAndEmptyWindows) {
+  // Each probe in its own batch; each must answer an error line, not a
+  // count or an all-zero CDF.
+  const std::string trace = serve_trace("srv_nf.trace");
+  const std::string queries = track(path("srv_nf.q"));
+  {
+    std::ofstream out(queries);
+    out << "reach 0 nan\n\ncdf 0 -inf inf\n\ncdf 0 1 1\n\nreach 0 0\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                     "--grid-lo", "60", "--grid-hi", "1h", "--max-hops",
+                     "3"}),
+            0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  std::istringstream lines(out);
+  std::vector<std::string> replies;
+  for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 4u) << out;
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(replies[i].compare(0, 6, "error "), 0) << replies[i];
+  EXPECT_NE(replies[3].find("reach src=0 t=0 count=2"), std::string::npos);
+}
+
+TEST(CliServeStream, RepliesBeforeTheInputCloses) {
+  // Regression: serve used to read its input with a 64 KiB fread, which
+  // on a pipe holds every reply until EOF. A client that writes one
+  // batch and waits must get the reply while its end is still open.
+  QueryEngineOptions qo;
+  qo.grid = make_log_grid(60.0, 3600.0, 8);
+  qo.max_hops = 3;
+  QueryEngine engine(TemporalGraph(3, {{0, 1, 0.0, 600.0},
+                                       {1, 2, 900.0, 1800.0}}),
+                     qo);
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::FILE* out_file = ::fdopen(out[1], "w");
+  ASSERT_NE(out_file, nullptr);
+  std::thread server([&] { serve_stream(engine, in[0], out_file); });
+
+  const std::string request = "reach 0 100\n\n";
+  ASSERT_EQ(::write(in[1], request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  pollfd pfd{out[0], POLLIN, 0};
+  const int ready = ::poll(&pfd, 1, /*timeout_ms=*/10000);
+  std::string reply;
+  if (ready == 1) {
+    char buf[256];
+    const ssize_t got = ::read(out[0], buf, sizeof buf);
+    if (got > 0) reply.assign(buf, static_cast<std::size_t>(got));
+  }
+  ::close(in[1]);  // EOF: the server loop returns
+  server.join();
+  std::fclose(out_file);
+  ::close(in[0]);
+  ::close(out[0]);
+  ASSERT_EQ(ready, 1) << "no reply within 10 s while the input was open";
+  EXPECT_EQ(reply.rfind("reach src=0 t=100 count=2 ", 0), 0u) << reply;
 }
 
 /// Strips the us=<latency> token so two runs can be compared bit-exactly.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "core/optimal_paths.hpp"
 #include "sim/flooding.hpp"
@@ -66,7 +67,9 @@ TEST(Journeys, ShortestHopsMatchesFirstReachableLevel) {
   EXPECT_EQ(j[3].shortest_hops, 3);
 }
 
-TEST(Journeys, ForemostMatchesFloodingOracle) {
+TEST(Journeys, ForemostMatchesDpFrontier) {
+  // foremost_arrival floods; the Pareto DP's delivery function is the
+  // independent oracle here.
   SyntheticTraceSpec spec;
   spec.num_internal = 12;
   spec.duration = kDay;
@@ -76,10 +79,41 @@ TEST(Journeys, ForemostMatchesFloodingOracle) {
   for (int q = 0; q < 20; ++q) {
     const auto src = static_cast<NodeId>(rng.below(g.num_nodes()));
     const double t0 = rng.uniform(g.start_time(), g.end_time());
-    const auto fr = flood(g, src, t0);
+    SingleSourceEngine engine(g, src);
+    engine.run_to_fixpoint();
     for (NodeId dst = 0; dst < g.num_nodes(); ++dst)
-      ASSERT_EQ(foremost_arrival(g, src, dst, t0), fr.best_arrival(dst));
+      ASSERT_EQ(foremost_arrival(g, src, dst, t0),
+                engine.frontier_view(dst).deliver_at(t0));
   }
+}
+
+TEST(Journeys, ForemostHonoursHopCap) {
+  const TemporalGraph g(4, {{0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0},
+                            {2, 3, 4.0, 5.0}});
+  EXPECT_EQ(foremost_arrival(g, 0, 3, 0.0, 2), kInf);
+  EXPECT_DOUBLE_EQ(foremost_arrival(g, 0, 3, 0.0, 3), 4.0);
+}
+
+TEST(Journeys, RecycledEngineMatchesFresh) {
+  SyntheticTraceSpec spec;
+  spec.num_internal = 12;
+  spec.duration = kDay;
+  spec.pair_contacts_mean = 2.0;
+  const auto g = generate_trace(spec, 5).graph;
+  SingleSourceEngine engine(g, 0);
+  for (const NodeId src : {NodeId{3}, NodeId{0}, NodeId{7}, NodeId{3}}) {
+    engine.reset(src);
+    const auto got = compute_journeys(g, engine);
+    const auto want = compute_journeys(g, src);
+    ASSERT_EQ(got.size(), want.size());
+    for (NodeId dst = 0; dst < g.num_nodes(); ++dst) {
+      EXPECT_EQ(got[dst].shortest_hops, want[dst].shortest_hops);
+      EXPECT_EQ(got[dst].fastest_duration, want[dst].fastest_duration);
+      EXPECT_EQ(got[dst].fastest_departure, want[dst].fastest_departure);
+    }
+  }
+  // An engine that already stepped is not a valid starting point.
+  EXPECT_THROW(compute_journeys(g, engine), std::logic_error);
 }
 
 TEST(Journeys, FastestNeverExceedsForemostDelay) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
+#include "util/rng.hpp"
 #include "util/time_format.hpp"
 
 namespace odtn {
@@ -49,6 +51,38 @@ TEST(OutComponents, SizesMatchMatrix) {
   EXPECT_EQ(sizes[2], 1u);  // reaches only 1
   const auto late = out_component_sizes(chain(), 10.0);
   EXPECT_EQ(late[0] + late[1] + late[2], 0u);
+}
+
+TEST(OutComponents, MatchDpOnRandomTraces) {
+  // out_component_sizes floods; the DP frontiers' last departures are
+  // the oracle, on directed and undirected traces with zero-length
+  // contacts, at the fixpoint and under a truncating hop cap.
+  for (const bool directed : {false, true}) {
+    Rng rng(directed ? 17 : 16);
+    std::vector<Contact> cs;
+    while (cs.size() < 60) {
+      const auto u = static_cast<NodeId>(rng.below(10));
+      const auto v = static_cast<NodeId>(rng.below(10));
+      if (u == v) continue;
+      const double b = rng.uniform(0.0, 500.0);
+      cs.push_back({u, v, b, b + (rng.bernoulli(0.3) ? 0.0 : 30.0)});
+    }
+    const TemporalGraph g(10, std::move(cs), directed);
+    for (const int max_levels : {64, 2}) {
+      const auto m = last_departure_matrix(g, max_levels);
+      for (const double t : {-10.0, 0.0, 125.0, 250.0, 499.0, 600.0}) {
+        const auto sizes = out_component_sizes(g, t, max_levels);
+        for (NodeId s = 0; s < g.num_nodes(); ++s) {
+          std::size_t want = 0;
+          for (NodeId d = 0; d < g.num_nodes(); ++d)
+            if (d != s && t <= m[s][d]) ++want;
+          ASSERT_EQ(sizes[s], want) << "directed=" << directed
+                                    << " max_levels=" << max_levels
+                                    << " s=" << s << " t=" << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(DailyWindows, BasicSlicing) {

@@ -90,6 +90,33 @@ TEST(ThreadPool, ConcurrentExternalCallersBothComplete) {
   EXPECT_EQ(b.load(), 3000u);
 }
 
+TEST(ThreadPool, SingleItemRunsOnCallerAsWorkerZero) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  unsigned worker_id = 99;
+  pool.parallel_for(1, [&](std::size_t i, unsigned worker) {
+    EXPECT_EQ(i, 0u);
+    ran_on = std::this_thread::get_id();
+    worker_id = worker;
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(worker_id, 0u);
+}
+
+TEST(ThreadPool, SingleItemRethrows) {
+  ThreadPool pool(4);
+  EXPECT_THROW(pool.parallel_for(1,
+                                 [](std::size_t, unsigned) {
+                                   throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
+  // Neither the job slot nor the workers were touched: the pool still
+  // distributes the next job.
+  std::atomic<std::size_t> count{0};
+  pool.parallel_for(50, [&](std::size_t, unsigned) { ++count; });
+  EXPECT_EQ(count.load(), 50u);
+}
+
 TEST(ThreadPool, SharedPoolIsReusable) {
   std::atomic<std::size_t> count{0};
   shared_thread_pool().parallel_for(64, [&](std::size_t, unsigned) {

@@ -8,7 +8,8 @@
 # batch (lockstep multi-source blocks vs the per-source pooled driver)
 # and snapshot (framing rejection + round-trip bit-identity) --
 # and a final pass of the concurrency suites (thread pool,
-# MC harness, empirical distribution, phase transition) under
+# MC harness, empirical distribution, phase transition) plus the
+# QueryEngine concurrent-batch test (recycled engine workspaces) under
 # ThreadSanitizer (the `tsan` preset). Run from the repository root.
 # Exits non-zero on the first failure.
 set -eu
@@ -59,5 +60,9 @@ echo "== tier-3: TSan build + concurrency suites =="
 cmake --preset tsan
 cmake --build --preset tsan -j
 ctest --preset tsan
+# A serve-style batch: concurrent queries checking engine workspaces out
+# of and back into one QueryEngine's free list.
+./build-tsan/tests/test_query_engine \
+  --gtest_filter='QueryEngine.ConcurrentBatchWorkspacesMatchFresh'
 
 echo "== verify OK =="
