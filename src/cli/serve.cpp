@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -60,7 +60,15 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
   in >> kind;
   std::vector<std::string> rest;
   for (std::string tok; in >> tok;) rest.push_back(tok);
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Optional trailing `t_lo t_hi` of cdf / diameter; absent bounds mean
+  // the whole trace span. A given bound is passed through as typed --
+  // resolve_cdf_windows rejects NaN and infinities.
+  std::optional<double> lo, hi;
+  const auto parse_window = [&] {
+    if (rest.size() != 3) return;
+    lo = parse_double(rest[1], "t_lo");
+    hi = parse_double(rest[2], "t_hi");
+  };
 
   try {
     const auto t0 = std::chrono::steady_clock::now();
@@ -68,8 +76,7 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
       if (rest.size() != 1 && rest.size() != 3)
         throw CliError("cdf expects: cdf <src> [t_lo t_hi]");
       const NodeId src = parse_node(engine, rest[0], "src");
-      const double lo = rest.size() == 3 ? parse_double(rest[1], "t_lo") : kNaN;
-      const double hi = rest.size() == 3 ? parse_double(rest[2], "t_hi") : kNaN;
+      parse_window();
       const DelayCdfResult r = engine.source_cdf(src, lo, hi);
       std::string out;
       char head[128];
@@ -88,8 +95,7 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
       const double eps = parse_double(rest[0], "eps");
       if (!(eps > 0.0 && eps < 1.0))
         throw CliError("eps must lie in (0, 1)");
-      const double lo = rest.size() == 3 ? parse_double(rest[1], "t_lo") : kNaN;
-      const double hi = rest.size() == 3 ? parse_double(rest[2], "t_hi") : kNaN;
+      parse_window();
       const DelayCdfResult r = engine.all_pairs(lo, hi);
       std::string out = "diameter";
       append_f64(out, " eps=", eps);
@@ -190,6 +196,13 @@ std::string execute_ingest(QueryEngine& engine, const std::string& line) {
   }
 }
 
+bool is_stats_line(const std::string& line) {
+  std::istringstream in(line);
+  std::string kind;
+  in >> kind;
+  return kind == "stats";
+}
+
 }  // namespace
 
 void serve_stream(QueryEngine& engine, int in_fd, std::FILE* out) {
@@ -197,16 +210,20 @@ void serve_stream(QueryEngine& engine, int in_fd, std::FILE* out) {
   const auto flush_batch = [&] {
     if (batch.empty()) return;
     std::vector<std::string> responses(batch.size());
-    if (batch.size() == 1) {
-      responses[0] = execute_query(engine, batch[0]);
-    } else {
-      // Queries of one batch run concurrently; QueryEngine calls nest
-      // their own parallel_for, which the pool runs inline (see
-      // ThreadPool::parallel_for).
-      shared_thread_pool().parallel_for(
-          batch.size(), [&](std::size_t i, unsigned) {
-            responses[i] = execute_query(engine, batch[i]);
-          });
+    // A `stats` line is a barrier: it runs after every earlier line of
+    // the batch has finished and before any later one starts, so the
+    // cache counters it reports are deterministic. The lines between
+    // barriers run concurrently; QueryEngine calls nest their own
+    // parallel_for, which the pool runs inline (see
+    // ThreadPool::parallel_for).
+    for (std::size_t lo = 0; lo < batch.size();) {
+      std::size_t hi = lo;
+      while (hi < batch.size() && !is_stats_line(batch[hi])) ++hi;
+      shared_thread_pool().parallel_for(hi - lo, [&](std::size_t i, unsigned) {
+        responses[lo + i] = execute_query(engine, batch[lo + i]);
+      });
+      if (hi < batch.size()) responses[hi] = execute_query(engine, batch[hi]);
+      lo = hi + 1;
     }
     for (const std::string& r : responses) std::fprintf(out, "%s\n", r.c_str());
     std::fflush(out);
@@ -397,7 +414,6 @@ int cmd_tail(ArgList args) {
   const auto window_hi = args.take_option("window-hi");
   args.expect_empty();
 
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   IncrementalCdfOptions io;
   // The feed's span is unknown up front (it is still being written), so
   // the default grid covers minutes-to-a-week rather than the trace
@@ -414,8 +430,8 @@ int cmd_tail(ArgList args) {
       max_levels ? static_cast<int>(parse_count(*max_levels, "max-levels"))
                  : 64;
   if (io.max_levels < 1) throw CliError("--max-levels must be >= 1");
-  io.t_lo = window_lo ? parse_double(*window_lo, "window-lo") : kNaN;
-  io.t_hi = window_hi ? parse_double(*window_hi, "window-hi") : kNaN;
+  if (window_lo) io.t_lo = parse_double(*window_lo, "window-lo");
+  if (window_hi) io.t_hi = parse_double(*window_hi, "window-hi");
   const double eps = eps_opt ? parse_double(*eps_opt, "eps") : 0.05;
   if (!(eps > 0.0 && eps < 1.0)) throw CliError("eps must lie in (0, 1)");
   const std::size_t batch_contacts =

@@ -21,7 +21,9 @@
 //   diameter <eps> [t_lo t_hi] all-pairs (1-eps)-diameter
 //   reach <src> <t>            nodes reachable from src at time t
 //   journey <src> <dst>        fastest/shortest journey optima
-//   stats                      cache counters
+//   stats                      cache counters (a barrier: it sees
+//                              every earlier line of its batch and
+//                              none of the later ones)
 //   ingest <u> <v> <b> <e>     append one contact to the served graph
 //                              (canonical order against history; runs
 //                              alone: the pending batch is answered on
@@ -55,7 +57,9 @@ int cmd_tail(ArgList args);
 /// client on a pipe or socket gets each batch's replies without closing
 /// its end. A final line without a trailing newline is still a complete
 /// query. `ingest` lines are sequencing points: the pending batch is
-/// answered on the pre-ingest graph, then the append runs alone. Does
+/// answered on the pre-ingest graph, then the append runs alone. A
+/// `stats` line is a barrier within its batch: the lines before it
+/// finish first, the lines after it start only once it answered. Does
 /// not close `in_fd`.
 void serve_stream(QueryEngine& engine, int in_fd, std::FILE* out);
 

@@ -31,7 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,14 +66,6 @@ class IncrementalSourceDp {
   /// session loads at cold-run speed instead of through the epoch
   /// machinery. Only valid while the DP is empty (no batch applied yet).
   void bootstrap(const TemporalGraph& graph);
-
-  /// One productive-level version straight from a frontier view: the
-  /// feed the batched bootstrap uses per lane (core/batched_engine.hpp
-  /// reproduces the pooled engine's per-level change sets bit for bit).
-  /// Same contract as bootstrap(): levels must ascend per node and the
-  /// DP must still be empty.
-  void append_bootstrap_version(NodeId node, int level,
-                                const FrontierView& frontier);
 
   /// L_k(source, node) as a zero-copy SoA view (levels above the cap
   /// clamp to the cap; the fixpoint frontier for converged sources).
@@ -149,23 +141,16 @@ class IncrementalSourceDp {
 };
 
 /// Options of the live all-pairs monitor. The delay grid is fixed for
-/// the engine's lifetime (it keys every per-epoch result); the
-/// start-time window may be explicit or NaN = the growing trace span.
+/// the engine's lifetime (it keys every per-epoch result); an unset
+/// start-time bound follows the growing trace span.
 struct IncrementalCdfOptions {
   std::vector<double> grid;
   int max_hops = 10;
   int max_levels = 64;
-  double t_lo = std::numeric_limits<double>::quiet_NaN();
-  double t_hi = std::numeric_limits<double>::quiet_NaN();
+  std::optional<double> t_lo;
+  std::optional<double> t_hi;
   /// Worker threads for the per-source fan-out; 0 = shared pool.
   unsigned num_threads = 0;
-  /// Sources per batched block during the first (bulk/backlog) batch's
-  /// bootstrap: blocks of consecutive sources seed their DPs from one
-  /// lockstep multi-source engine (core/batched_engine.hpp) instead of
-  /// one cold engine each. 1 = per-source bootstrap; bit-identical
-  /// either way (the lanes reproduce the pooled engine's change sets
-  /// exactly). Later epochs always use the incremental machinery.
-  int source_batch = 1;
 };
 
 /// Live all-pairs engine: an owned growing TemporalGraph plus one

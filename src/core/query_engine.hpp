@@ -1,6 +1,6 @@
 // QueryEngine: the serving-path facade behind `odtn serve`. It owns (or
 // borrows) a TemporalGraph -- typically a zero-copy snapshot view
-// (trace/snapshot.hpp) -- and answers batched queries through a sharded,
+// (trace/snapshot.hpp) -- and answers queries through a sharded,
 // byte-budgeted LRU result cache (util/lru_cache.hpp).
 //
 // What is cached, and why the answers stay bit-identical:
@@ -19,11 +19,13 @@
 //   cache_hits / cache_misses / cache_evictions counters say why.
 //
 // Cache keys bind the partial to everything that determines its bytes:
-// the graph's transform key (core/sharded_engine.hpp), the engine mode,
+// the graph's fingerprint (node/contact counts, directedness, span bit
+// patterns) and epoch, the engine mode,
 // accumulation scheme, hop budget, the grid's exact bit patterns, the
 // resolved start-time windows' bit patterns, and the source id. Engines
 // over different graphs can therefore safely SHARE one cache (pass the
-// same shared_ptr): keys from different transform chains never collide.
+// same shared_ptr): keys from differently transformed traces never
+// collide.
 //
 // Each verb does only the work its answer needs:
 //
@@ -46,9 +48,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,14 +81,6 @@ struct QueryEngineOptions {
   std::size_t cache_shards = 8;
   /// Worker threads for all-pairs fan-out; 0 = shared pool.
   unsigned num_threads = 0;
-  /// Sources per batched block on the cold path (core/batched_engine.hpp):
-  /// cache misses within a block of consecutive sources run through one
-  /// lockstep multi-source engine. 1 = classic per-source path; > 1
-  /// requires the pooled engine with incremental accumulation. Cached
-  /// partial bytes are identical either way, so source_batch does NOT
-  /// participate in cache keys: warm entries stay valid across batch
-  /// size changes and mixed hit/miss folds stay bit-identical.
-  int source_batch = 1;
 };
 
 class QueryEngine {
@@ -98,20 +92,21 @@ class QueryEngine {
   QueryEngine(TemporalGraph graph, QueryEngineOptions options,
               std::shared_ptr<ServeCache> cache = nullptr);
 
-  static constexpr double kWholeSpan = std::numeric_limits<double>::quiet_NaN();
-
   /// Delay CDF aggregated over all destinations for one source, message
-  /// creation times uniform over [t_lo, t_hi] (NaN = the whole trace
-  /// span). Served from cache when this source was already computed
-  /// under the same window -- including by a previous all_pairs call.
-  DelayCdfResult source_cdf(NodeId source, double t_lo = kWholeSpan,
-                            double t_hi = kWholeSpan);
+  /// creation times uniform over [t_lo, t_hi] (an unset bound is the
+  /// trace's start / end; resolve_cdf_windows validates set ones).
+  /// Served from cache when this source was already computed under the
+  /// same window -- including by a previous all_pairs call.
+  DelayCdfResult source_cdf(NodeId source,
+                            std::optional<double> t_lo = std::nullopt,
+                            std::optional<double> t_hi = std::nullopt);
 
   /// All-pairs delay CDFs / (1-eps)-diameter over a window, folding
   /// cached and freshly computed per-source partials in canonical order
   /// (bit-identical to compute_delay_cdf on a cold cache, and to itself
   /// on any warm subset).
-  DelayCdfResult all_pairs(double t_lo = kWholeSpan, double t_hi = kWholeSpan);
+  DelayCdfResult all_pairs(std::optional<double> t_lo = std::nullopt,
+                           std::optional<double> t_hi = std::nullopt);
 
   /// Number of nodes (excluding the source) reachable by a message
   /// created at `source` at time `t` with at most max_levels contacts:
@@ -147,7 +142,8 @@ class QueryEngine {
  private:
   DelayCdfResult run(const std::vector<NodeId>& sources,
                      const DelayCdfOptions& options);
-  DelayCdfOptions cdf_options(double t_lo, double t_hi) const;
+  DelayCdfOptions cdf_options(std::optional<double> t_lo,
+                              std::optional<double> t_hi) const;
   std::string query_key(NodeId source, const TimeWindows& windows) const;
   void rebuild_key_prefix();
 
@@ -162,7 +158,7 @@ class QueryEngine {
   TemporalGraph graph_;
   QueryEngineOptions options_;
   std::shared_ptr<ServeCache> cache_;
-  std::string key_prefix_;  // transform key + engine/grid fingerprint
+  std::string key_prefix_;  // graph fingerprint + engine/grid options
   std::vector<NodeId> all_nodes_;
   std::vector<std::uint8_t> is_endpoint_;  // all-ones mask over nodes
   mutable std::mutex workspace_mutex_;

@@ -42,8 +42,8 @@ struct NodeContact {
 /// wraps pre-validated contact and index arrays living in an external
 /// buffer (an mmap-ed snapshot file, trace/snapshot.hpp) without copying
 /// a byte. Copies of a borrowed graph stay zero-copy too -- they share
-/// the backing buffer and its already-built indexes -- which keeps the
-/// sharded engine's per-shard "private graph copies" cheap on snapshots.
+/// the backing buffer and its already-built indexes -- which keeps
+/// QueryEngine's by-value graph argument cheap on snapshots.
 class TemporalGraph {
  public:
   /// Builds a graph with `num_nodes` nodes. Contacts are validated

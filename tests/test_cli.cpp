@@ -184,22 +184,6 @@ TEST_F(CliCommands, CdfValidatesMaxHops) {
   EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "-4"}), 2);
 }
 
-TEST_F(CliCommands, CdfShardedMatchesUsage) {
-  const std::string trace = track(path("tiny_shard.trace"));
-  write_trace_file(
-      trace, TemporalGraph(3, {{0, 1, 0.0, 600.0}, {1, 2, 900.0, 1800.0}}));
-  EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "3", "--grid-lo", "60",
-                     "--grid-hi", "1h", "--shards", "2"}),
-            0);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "2", "--shard-policy",
-                     "degree-balanced"}),
-            0);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "-2"}), 2);
-  EXPECT_EQ(run_cli({"cdf", trace, "--shards", "2", "--shard-policy",
-                     "round-robin"}),
-            2);
-}
-
 TEST_F(CliCommands, GenerateRejectsNegativeSeed) {
   EXPECT_EQ(run_cli({"generate", "--preset", "hong-kong", "--seed", "-1",
                      "--out", track(path("neg.trace"))}),
@@ -391,6 +375,32 @@ TEST_F(CliServe, ServeRejectsNonFiniteAndEmptyWindows) {
   EXPECT_NE(replies[3].find("reach src=0 t=0 count=2"), std::string::npos);
 }
 
+TEST_F(CliServe, ServeRejectsNaNWindowBounds) {
+  // Regression: a NaN bound aliased the "unset" sentinel, so both verbs
+  // answered over the whole trace instead of refusing the window.
+  const std::string trace = serve_trace("srv_nan.trace");
+  const std::string queries = track(path("srv_nan.q"));
+  {
+    std::ofstream out(queries);
+    out << "cdf 0 nan 5000\n\ndiameter 0.01 nan 5000\n\n"
+        << "diameter 0.01 0 nan\n";
+  }
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                     "--grid-lo", "60", "--grid-hi", "1h", "--max-hops",
+                     "3"}),
+            0);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  std::istringstream lines(out);
+  std::vector<std::string> replies;
+  for (std::string line; std::getline(lines, line);) replies.push_back(line);
+  ASSERT_EQ(replies.size(), 3u) << out;
+  for (const std::string& reply : replies) {
+    EXPECT_EQ(reply.compare(0, 6, "error "), 0) << reply;
+    EXPECT_NE(reply.find("NaN"), std::string::npos) << reply;
+  }
+}
+
 TEST(CliServeStream, RepliesBeforeTheInputCloses) {
   // Regression: serve used to read its input with a 64 KiB fread, which
   // on a pipe holds every reply until EOF. A client that writes one
@@ -435,6 +445,48 @@ std::string strip_latency(const std::string& text) {
   for (std::string tok; in >> tok;)
     if (tok.compare(0, 3, "us=") != 0) out += tok + " ";
   return out;
+}
+
+TEST_F(CliServe, StatsIsABarrierWithinABatch) {
+  // Regression: a `stats` line used to run concurrently with the rest of
+  // its batch and report a mid-flight cache snapshot. As a barrier it
+  // sees exactly the lines before it, so repeated runs of one mixed
+  // batch answer identically, latency fields aside.
+  const std::string trace = track(path("srv_stats.trace"));
+  std::vector<Contact> contacts;
+  for (int i = 0; i < 400; ++i) {
+    const auto u = static_cast<NodeId>(i % 24);
+    const auto v = static_cast<NodeId>((i * 7 + 3) % 24);
+    if (u == v) continue;
+    contacts.push_back({u, v, 30.0 * i, 30.0 * i + 90.0});
+  }
+  write_trace_file(trace, TemporalGraph(24, std::move(contacts)));
+  const std::string queries = track(path("srv_stats.q"));
+  {
+    std::ofstream out(queries);
+    out << "diameter 0.01\nreach 0 0\nstats\ncdf 0\njourney 0 5\nstats\n";
+  }
+  std::string first;
+  for (int run = 0; run < 20; ++run) {
+    ::testing::internal::CaptureStdout();
+    ASSERT_EQ(run_cli({"serve", "--trace", trace, "--input", queries,
+                       "--grid-lo", "60", "--grid-hi", "1h"}),
+              0);
+    const std::string out =
+        strip_latency(::testing::internal::GetCapturedStdout());
+    if (run == 0) {
+      first = out;
+      // The first stats line sees the whole diameter (24 misses, each
+      // inserted); the second one also sees the cdf 0 hit.
+      EXPECT_NE(out.find("stats hits=0 misses=24 evictions=0 inserts=24"),
+                std::string::npos)
+          << out;
+      EXPECT_NE(out.find("stats hits=1 misses=24 evictions=0 inserts=24"),
+                std::string::npos)
+          << out;
+    }
+    ASSERT_EQ(out, first) << "run " << run;
+  }
 }
 
 TEST_F(CliServe, TailEpochSplitsEndIdentically) {

@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "core/source_cdf.hpp"
 #include "sim/flooding.hpp"
 #include "stats/log_grid.hpp"
 #include "util/rng.hpp"
@@ -90,7 +97,7 @@ TEST(DelayCdf, MatchesMonteCarloFlooding) {
     const auto src = static_cast<NodeId>(rng.below(6));
     auto dst = static_cast<NodeId>(rng.below(5));
     if (dst >= src) ++dst;
-    const double t0 = rng.uniform(opt.t_lo, opt.t_hi);
+    const double t0 = rng.uniform(*opt.t_lo, *opt.t_hi);
     const auto fr = flood(g, src, t0, 3);
     const double delay = fr.arrival_with_hops(dst, 3) - t0;
     for (std::size_t j = 0; j < r.grid.size(); ++j)
@@ -198,6 +205,23 @@ TEST(DelayCdf, InvalidOptionsThrow) {
   EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
 }
 
+TEST(DelayCdf, NaNWindowBoundIsRejected) {
+  // Regression: a NaN bound used to alias the "unset" sentinel, so a
+  // diameter over [NaN, 5000] silently covered the whole trace.
+  TemporalGraph g(2, {{0, 1, 0.0, 1.0}, {0, 1, 9000.0, 9001.0}});
+  auto opt = base_options();
+  opt.t_lo = std::nan("");
+  opt.t_hi = 5000.0;
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  opt.t_lo = 0.0;
+  opt.t_hi = std::nan("");
+  EXPECT_THROW(compute_delay_cdf(g, opt), std::invalid_argument);
+  // Unset bounds still mean the trace span.
+  opt.t_lo.reset();
+  opt.t_hi = 5000.0;
+  EXPECT_DOUBLE_EQ(compute_delay_cdf(g, opt).denominator, 2.0 * 5000.0);
+}
+
 TEST(DelayCdf, ConvergedFlagReportsFixpointTruncation) {
   // A 5-hop chain with strictly increasing contact times: the DP needs 5
   // levels from node 0, so max_levels = 3 cannot converge.
@@ -231,16 +255,16 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
     contacts.push_back({u, v, b, b + rng.uniform(0, 6)});
   }
   TemporalGraph g(10, std::move(contacts));
-  auto indexed_opt = base_options();
-  indexed_opt.num_threads = 1;
+  auto pooled_opt = base_options();
+  pooled_opt.num_threads = 1;
   // Pin the direct accumulation path on both sides: this test isolates
   // the two propagation schemes, which must agree to the bit. (Under
-  // kAuto the indexed engine would use incremental accumulation, whose
+  // kAuto the pooled engine would use incremental accumulation, whose
   // agreement is within rounding -- covered by the tests below.)
-  indexed_opt.accumulation = CdfAccumulation::kDirect;
-  auto sweep_opt = indexed_opt;
+  pooled_opt.accumulation = CdfAccumulation::kDirect;
+  auto sweep_opt = pooled_opt;
   sweep_opt.engine = EngineMode::kLevelSweep;
-  const auto a = compute_delay_cdf(g, indexed_opt);
+  const auto a = compute_delay_cdf(g, pooled_opt);
   const auto b = compute_delay_cdf(g, sweep_opt);
   ASSERT_EQ(a.cdf_by_hops.size(), b.cdf_by_hops.size());
   for (std::size_t k = 0; k < a.cdf_by_hops.size(); ++k)
@@ -250,7 +274,7 @@ TEST(DelayCdf, EngineModesProduceIdenticalCdfs) {
     ASSERT_EQ(a.cdf_unbounded[j], b.cdf_unbounded[j]);
   EXPECT_EQ(a.fixpoint_hops, b.fixpoint_hops);
   EXPECT_TRUE(a.converged);
-  // The indexed engine must examine no more contacts than the sweep and
+  // The pooled engine must examine no more contacts than the sweep and
   // must actually skip frontier snapshots.
   EXPECT_LE(a.stats.contacts_examined, b.stats.contacts_examined);
   EXPECT_GT(a.stats.frontier_copies_avoided, 0u);
@@ -345,7 +369,7 @@ TEST(DelayCdf, IncrementalReusesOneWorkspacePerWorker) {
   EXPECT_GT(dir.stats.cdf_pairs_integrated, 0u);
 }
 
-TEST(DelayCdf, IncrementalRequiresIndexedEngine) {
+TEST(DelayCdf, IncrementalRequiresPooledEngine) {
   TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
   auto opt = base_options();
   opt.engine = EngineMode::kLevelSweep;
@@ -387,37 +411,172 @@ TEST(DelayCdf, UnconvergedDiameterIsSentinel) {
   EXPECT_NE(full.diameter(0.01), DelayCdfResult::kUnknownDiameter);
 }
 
-TEST(DelayCdf, SingleThreadAndMultiThreadAgree) {
+/// One input shape of the thread-count invariance check.
+struct ThreadInvarianceCase {
+  const char* name;
+  bool directed = false;
+  double time_shift = 0.0;
+  std::vector<NodeId> endpoints = {};
+  std::vector<std::pair<double, double>> windows = {};
+  CdfAccumulation accumulation = CdfAccumulation::kAuto;
+  EngineMode engine = EngineMode::kPooled;
+};
+
+class DelayCdfThreads : public ::testing::TestWithParam<ThreadInvarianceCase> {
+};
+
+// Thread count is the only execution-order variable of the all-pairs
+// drivers, so this is where the canonical ascending-index fold is held
+// to its contract: per-source partials are integrated into zeroed
+// scratch accumulators and merged in one fixed left chain no matter
+// which worker produced them (see core/source_cdf.hpp). CDFs,
+// diameters and every additive engine counter must therefore be
+// BIT-identical at any thread count, not merely close.
+TEST_P(DelayCdfThreads, SingleThreadAndMultiThreadAgree) {
+  const ThreadInvarianceCase& param = GetParam();
   Rng rng(31);
   std::vector<Contact> contacts;
   for (int i = 0; i < 100; ++i) {
     const auto u = static_cast<NodeId>(rng.below(9));
     auto v = static_cast<NodeId>(rng.below(8));
     if (v >= u) ++v;
-    const double b = rng.uniform(0, 70);
+    const double b = param.time_shift + rng.uniform(0, 70);
     contacts.push_back({u, v, b, b + rng.uniform(0, 4)});
   }
-  TemporalGraph g(9, std::move(contacts));
-  auto opt1 = base_options();
-  opt1.num_threads = 1;
-  const auto r1 = compute_delay_cdf(g, opt1);
-  // The canonical ascending-index fold makes this BIT-identical, not
-  // merely close: per-source partials are integrated into zeroed
-  // scratch accumulators and merged in one fixed left chain no matter
-  // which worker produced them (see core/source_cdf.hpp).
+  TemporalGraph g(9, std::move(contacts), param.directed);
+  auto options_at = [&](unsigned threads) {
+    auto opt = base_options();
+    opt.endpoints = param.endpoints;
+    opt.windows = param.windows;
+    opt.accumulation = param.accumulation;
+    opt.engine = param.engine;
+    opt.num_threads = threads;
+    return opt;
+  };
+  const auto r1 = compute_delay_cdf(g, options_at(1));
+  ASSERT_GT(r1.stats.pairs_inserted, 0u);
   for (const unsigned threads : {2u, 3u, 4u}) {
-    auto optn = base_options();
-    optn.num_threads = threads;
-    const auto rn = compute_delay_cdf(g, optn);
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto rn = compute_delay_cdf(g, options_at(threads));
     ASSERT_EQ(r1.cdf_by_hops.size(), rn.cdf_by_hops.size());
     for (std::size_t k = 0; k < r1.cdf_by_hops.size(); ++k)
-      ASSERT_EQ(r1.cdf_by_hops[k], rn.cdf_by_hops[k])
-          << threads << " threads, hop budget " << k + 1;
-    ASSERT_EQ(r1.cdf_unbounded, rn.cdf_unbounded) << threads << " threads";
+      ASSERT_EQ(r1.cdf_by_hops[k], rn.cdf_by_hops[k]) << "hop budget " << k + 1;
+    ASSERT_EQ(r1.cdf_unbounded, rn.cdf_unbounded);
     EXPECT_EQ(r1.denominator, rn.denominator);
     EXPECT_EQ(r1.fixpoint_hops, rn.fixpoint_hops);
     EXPECT_EQ(r1.converged, rn.converged);
+    for (const double eps : {0.25, 0.05, 0.01, 0.001}) {
+      EXPECT_EQ(r1.diameter(eps), rn.diameter(eps)) << "eps " << eps;
+      EXPECT_EQ(r1.diameter_per_delay(eps), rn.diameter_per_delay(eps));
+    }
+    EXPECT_EQ(r1.diameter_absolute(0.01), rn.diameter_absolute(0.01));
+    // Additive counters describe work done, so they match exactly. How
+    // many workspaces the work was spread over depends on the worker
+    // count; only their sum (one per source) is invariant. Arena peaks
+    // are maxima over each worker's source sequence, not additive.
+    const EngineStats& a = r1.stats;
+    const EngineStats& b = rn.stats;
+    EXPECT_EQ(a.contacts_examined, b.contacts_examined);
+    EXPECT_EQ(a.pairs_inserted, b.pairs_inserted);
+    EXPECT_EQ(a.pairs_dominated, b.pairs_dominated);
+    EXPECT_EQ(a.frontier_copies_avoided, b.frontier_copies_avoided);
+    EXPECT_EQ(a.cdf_pairs_integrated, b.cdf_pairs_integrated);
+    EXPECT_EQ(a.merge_batches, b.merge_batches);
+    EXPECT_EQ(a.workspace_allocations + a.workspace_reuses,
+              b.workspace_allocations + b.workspace_reuses);
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, DelayCdfThreads,
+    ::testing::Values(
+        ThreadInvarianceCase{.name = "undirected"},
+        ThreadInvarianceCase{.name = "directed", .directed = true},
+        ThreadInvarianceCase{.name = "negative_time", .time_shift = -500.0},
+        ThreadInvarianceCase{.name = "windows_and_endpoints",
+                             .endpoints = {1, 3, 5, 7},
+                             .windows = {{5.0, 30.0}, {45.0, 65.0}}},
+        ThreadInvarianceCase{.name = "direct",
+                             .accumulation = CdfAccumulation::kDirect},
+        ThreadInvarianceCase{.name = "level_sweep_direct",
+                             .accumulation = CdfAccumulation::kDirect,
+                             .engine = EngineMode::kLevelSweep}),
+    [](const ::testing::TestParamInfo<ThreadInvarianceCase>& p) {
+      return std::string(p.param.name);
+    });
+
+// The folder's out-of-order buffer, exercised deterministically: with
+// one worker it never fills, and thread scheduling only hits it by
+// chance. Submitting the same partials in reverse and shuffled order
+// must fold to the bit-identical total of ascending submission.
+TEST(OrderedCdfFolder, OutOfOrderSubmissionFoldsLikeAscending) {
+  const std::vector<double> grid = make_log_grid(0.5, 500.0, 16);
+  const int max_hops = 3;
+  const std::size_t count = 40;
+  std::vector<SourceCdfPartial> partials;
+  for (std::size_t i = 0; i < count; ++i) {
+    Rng rng = Rng::keyed(0xF01D, i);
+    SourceCdfPartial p(grid, max_hops);
+    const auto fill = [&](MeasureCdfAccumulator& acc) {
+      for (int s = 0; s < 6; ++s) {
+        // Segment scales spanning several orders of magnitude make the
+        // running sums order-sensitive in their last bits.
+        const double scale = std::pow(10.0, rng.uniform(-3.0, 3.0));
+        const double a = rng.uniform(0.0, 1000.0);
+        acc.add_segment(a, a + scale, a + scale * rng.uniform(0.0, 3.0),
+                        rng.uniform(0.1, 1.0));
+      }
+      acc.add_observation_measure(1000.0 * rng.uniform(1.0, 2.0));
+    };
+    for (MeasureCdfAccumulator& acc : p.by_hops) fill(acc);
+    fill(p.unbounded);
+    p.fixpoint_hops = static_cast<int>(rng.below(6));
+    p.converged = i != 17;
+    partials.push_back(std::move(p));
+  }
+  // Every bit the fold produces: per-accumulator CDFs and denominators,
+  // then the fixpoint/convergence fold.
+  auto lanes_of = [](const SourceCdfPartial& t) {
+    std::vector<std::vector<double>> lanes;
+    for (const MeasureCdfAccumulator& acc : t.by_hops) {
+      lanes.push_back(acc.cdf());
+      lanes.back().push_back(acc.denominator());
+    }
+    lanes.push_back(t.unbounded.cdf());
+    lanes.back().push_back(t.unbounded.denominator());
+    lanes.push_back({static_cast<double>(t.fixpoint_hops),
+                     t.converged ? 1.0 : 0.0});
+    return lanes;
+  };
+  auto fold = [&](const std::vector<std::size_t>& order) {
+    OrderedCdfFolder folder(grid, max_hops, count);
+    for (const std::size_t i : order) folder.submit(i, partials[i]);
+    return lanes_of(folder.total());
+  };
+  std::vector<std::size_t> ascending(count);
+  std::iota(ascending.begin(), ascending.end(), std::size_t{0});
+  std::vector<std::size_t> reverse(ascending.rbegin(), ascending.rend());
+  std::vector<std::size_t> shuffled = ascending;
+  Rng rng(0xF01E);
+  for (std::size_t i = count - 1; i > 0; --i)
+    std::swap(shuffled[i], shuffled[rng.below(i + 1)]);
+  ASSERT_NE(shuffled, ascending);
+
+  const auto want = fold(ascending);
+  EXPECT_EQ(fold(reverse), want);
+  EXPECT_EQ(fold(shuffled), want);
+  int max_fixpoint = 0;
+  for (const SourceCdfPartial& p : partials)
+    max_fixpoint = std::max(max_fixpoint, p.fixpoint_hops);
+  EXPECT_EQ(want.back(),
+            (std::vector<double>{static_cast<double>(max_fixpoint), 0.0}));
+
+  // The data must be order-sensitive for the check above to have teeth:
+  // merging the same partials in reverse, bypassing the folder, lands on
+  // different bits somewhere.
+  SourceCdfPartial naive(grid, max_hops);
+  for (const std::size_t i : reverse) naive.merge_from(partials[i]);
+  EXPECT_NE(lanes_of(naive), want);
 }
 
 }  // namespace

@@ -239,10 +239,10 @@ TEST(Engine, ResetRejectsOutOfRangeSource) {
 TEST(Engine, ChangeTrackingExposesExactDeltas) {
   // Relay route improves node 2's frontier at level 2 while the direct
   // late contact created it at level 1: last_changed() must name exactly
-  // the nodes whose frontier changed, and previous_frontier(i) must be
-  // the pre-merge state so old + published == new.
+  // the nodes whose frontier changed, and previous_frontier_view(i) must
+  // be the pre-merge state so old + published == new.
   TemporalGraph g(3, {{0, 2, 10.0, 11.0}, {0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0}});
-  SingleSourceEngine e(g, 0, EngineMode::kIndexed);
+  SingleSourceEngine e(g, 0, EngineMode::kPooled);
   e.track_changes(true);
 
   e.step();  // level 1: nodes 1 and 2 gain their first pairs
@@ -250,7 +250,7 @@ TEST(Engine, ChangeTrackingExposesExactDeltas) {
     const auto& changed = e.last_changed();
     ASSERT_EQ(changed.size(), 2u);
     for (std::size_t i = 0; i < changed.size(); ++i) {
-      EXPECT_TRUE(e.previous_frontier(i).empty());  // born this level
+      EXPECT_TRUE(e.previous_frontier_view(i).empty());  // born this level
       EXPECT_FALSE(e.frontier(changed[i]).empty());
     }
   }
@@ -261,8 +261,8 @@ TEST(Engine, ChangeTrackingExposesExactDeltas) {
     ASSERT_EQ(changed.size(), 1u);
     EXPECT_EQ(changed[0], NodeId{2});
     // Pre-change frontier: the single late direct pair.
-    ASSERT_EQ(e.previous_frontier(0).size(), 1u);
-    EXPECT_DOUBLE_EQ(e.previous_frontier(0).pairs()[0].ea, 10.0);
+    ASSERT_EQ(e.previous_frontier_view(0).size(), 1u);
+    EXPECT_DOUBLE_EQ(e.previous_frontier_view(0).ea(0), 10.0);
     // Post-change frontier: relay pair joined the direct pair.
     EXPECT_EQ(e.frontier(2).size(), 2u);
   }
@@ -274,7 +274,7 @@ TEST(Engine, ChangeTrackingExposesExactDeltas) {
 
 TEST(Engine, ChangeTrackingSurvivesReset) {
   TemporalGraph g(3, {{0, 1, 0.0, 1.0}, {1, 2, 2.0, 3.0}});
-  SingleSourceEngine e(g, 0, EngineMode::kIndexed);
+  SingleSourceEngine e(g, 0, EngineMode::kPooled);
   e.track_changes(true);
   e.run_to_fixpoint();
   e.reset(2);
@@ -282,10 +282,10 @@ TEST(Engine, ChangeTrackingSurvivesReset) {
   // From source 2 the level-1 delta is node 1 (undirected contact).
   ASSERT_EQ(e.last_changed().size(), 1u);
   EXPECT_EQ(e.last_changed()[0], NodeId{1});
-  EXPECT_TRUE(e.previous_frontier(0).empty());
+  EXPECT_TRUE(e.previous_frontier_view(0).empty());
 }
 
-TEST(Engine, ChangeTrackingRequiresIndexedMode) {
+TEST(Engine, ChangeTrackingRequiresPooledMode) {
   TemporalGraph g(2, {{0, 1, 0.0, 1.0}});
   SingleSourceEngine e(g, 0, EngineMode::kLevelSweep);
   EXPECT_THROW(e.track_changes(true), std::logic_error);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -310,17 +311,29 @@ TEST(QueryEngine, CdfRejectsInfiniteWindow) {
   EXPECT_THROW(engine.source_cdf(0, -kInf, kInf), std::invalid_argument);
   EXPECT_THROW(engine.source_cdf(0, engine.graph().start_time(), kInf),
                std::invalid_argument);
-  EXPECT_THROW(engine.all_pairs(-kInf, QueryEngine::kWholeSpan),
-               std::invalid_argument);
+  EXPECT_THROW(engine.all_pairs(-kInf, std::nullopt), std::invalid_argument);
 }
 
 TEST(QueryEngine, CdfRejectsZeroMeasureWindow) {
   QueryEngine engine(workload_graph(), small_options());
   EXPECT_THROW(engine.source_cdf(0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(engine.all_pairs(1.0, 1.0), std::invalid_argument);
-  // NaN still means "unset": the whole span.
-  EXPECT_NO_THROW(engine.source_cdf(0, QueryEngine::kWholeSpan,
-                                    engine.graph().end_time()));
+  // An unset bound is the trace's start.
+  EXPECT_NO_THROW(
+      engine.source_cdf(0, std::nullopt, engine.graph().end_time()));
+}
+
+TEST(QueryEngine, CdfAndDiameterRejectNaNWindow) {
+  // Regression: a NaN bound used to alias the "unset" sentinel, so
+  // `diameter 0.01 nan 5000` answered over the whole trace.
+  QueryEngine engine(workload_graph(), small_options());
+  const double nan = std::nan("");
+  EXPECT_THROW(engine.source_cdf(0, nan, 5000.0), std::invalid_argument);
+  EXPECT_THROW(engine.source_cdf(0, 0.0, nan), std::invalid_argument);
+  EXPECT_THROW(engine.all_pairs(nan, 5000.0), std::invalid_argument);
+  EXPECT_THROW(engine.all_pairs(std::nullopt, nan), std::invalid_argument);
+  // Nothing was computed or cached on the way to the rejection.
+  EXPECT_EQ(engine.cache_stats().misses, 0u);
 }
 
 /// Options that make every source_cdf compute: no cache.
@@ -414,8 +427,7 @@ TEST(QueryEngine, JourneyOnEveryEngineMode) {
   // journey runs on the workspace engine, built in the configured mode.
   const TemporalGraph g = workload_graph();
   const auto want = compute_journeys(g, 2);
-  for (const EngineMode mode :
-       {EngineMode::kPooled, EngineMode::kIndexed, EngineMode::kLevelSweep}) {
+  for (const EngineMode mode : {EngineMode::kPooled, EngineMode::kLevelSweep}) {
     QueryEngineOptions qo = small_options();
     qo.engine = mode;
     QueryEngine engine(g, qo);
