@@ -16,7 +16,7 @@
 //              CDF vectors must match the level-sweep engine within
 //              1e-12 at every grid point and hop budget.
 //   accum   -- hop-incremental accumulation + per-worker engine reuse
-//              (CdfAccumulation::kIncremental) vs the direct reference
+//              (CdfAccumulation::kAuto) vs the direct reference
 //              (kDirect), both on the pooled engine, over trace-scale
 //              conference / campus workloads under the paper's day-time
 //              traffic model, swept across hop-budget depths K: direct
@@ -422,7 +422,7 @@ int section_accumulation(CsvWriter& csv, std::vector<AccumRecord>& records) {
       const CdfRun direct = run_cdf_best(wl.graph, opt, EngineMode::kPooled,
                                          CdfAccumulation::kDirect, reps);
       const CdfRun inc = run_cdf_best(wl.graph, opt, EngineMode::kPooled,
-                                      CdfAccumulation::kIncremental, reps);
+                                      CdfAccumulation::kAuto, reps);
       const double speedup = direct.wall_ms / std::max(inc.wall_ms, 1e-9);
       const double diff = max_cdf_diff(direct.result, inc.result);
       const bool diam_ok = diameters_match(direct.result, inc.result);
@@ -1062,14 +1062,14 @@ int section_kernels(CsvWriter& csv, std::vector<KernelRecord>& records) {
     CdfRun sweep = run_cdf(wl.graph, opt, EngineMode::kLevelSweep,
                            CdfAccumulation::kDirect);
     CdfRun pooled = run_cdf(wl.graph, opt, EngineMode::kPooled,
-                            CdfAccumulation::kIncremental);
+                            CdfAccumulation::kAuto);
     for (int r = 1; r < 9; ++r) {
       CdfRun run = run_cdf(wl.graph, opt, EngineMode::kLevelSweep,
                            CdfAccumulation::kDirect);
       sweep.wall_ms = std::min(sweep.wall_ms, run.wall_ms);
       sweep.cpu_ms = std::min(sweep.cpu_ms, run.cpu_ms);
       run = run_cdf(wl.graph, opt, EngineMode::kPooled,
-                    CdfAccumulation::kIncremental);
+                    CdfAccumulation::kAuto);
       pooled.wall_ms = std::min(pooled.wall_ms, run.wall_ms);
       pooled.cpu_ms = std::min(pooled.cpu_ms, run.cpu_ms);
     }

@@ -1,6 +1,7 @@
 #include "cli/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/time_format.hpp"
@@ -67,8 +68,9 @@ double parse_double(const std::string& text, std::string_view what) {
 
 long parse_long(const std::string& text, std::string_view what) {
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0')
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE)
     throw CliError("invalid " + std::string(what) + ": '" + text + "'");
   return value;
 }
@@ -78,6 +80,15 @@ unsigned long parse_count(const std::string& text, std::string_view what) {
   if (value < 0)
     throw CliError("--" + std::string(what) + " must be >= 0, got " + text);
   return static_cast<unsigned long>(value);
+}
+
+NodeId parse_node(const std::string& text, std::string_view what,
+                  std::size_t num_nodes) {
+  const unsigned long id = parse_count(text, what);
+  if (id >= num_nodes)
+    throw CliError(std::string(what) + " out of range (trace has " +
+                   std::to_string(num_nodes) + " nodes)");
+  return static_cast<NodeId>(id);
 }
 
 double parse_duration(const std::string& text, std::string_view what) {

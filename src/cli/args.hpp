@@ -6,11 +6,14 @@
 // CliError exceptions carrying a user-facing message.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/contact.hpp"
 
 namespace odtn::cli {
 
@@ -57,6 +60,11 @@ long parse_long(const std::string& text, std::string_view what);
 /// rejects negatives with a clear CliError instead of letting a later
 /// static_cast silently wrap them into huge values.
 unsigned long parse_count(const std::string& text, std::string_view what);
+
+/// parse_count for a node id: rejects ids outside [0, num_nodes) instead
+/// of letting the narrowing to NodeId wrap them onto a real node.
+NodeId parse_node(const std::string& text, std::string_view what,
+                  std::size_t num_nodes);
 
 /// Parses durations like "90", "10min", "6h", "2d", "1wk" into seconds.
 double parse_duration(const std::string& text, std::string_view what);

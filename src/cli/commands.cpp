@@ -324,16 +324,14 @@ int cmd_mc(ArgList args) {
 
 int cmd_route(ArgList args) {
   const std::string path = required_positional(args, "trace file");
-  const auto src = static_cast<NodeId>(
-      parse_count(required_option(args, "src"), "src"));
-  const auto dst = static_cast<NodeId>(
-      parse_count(required_option(args, "dst"), "dst"));
+  const std::string src_text = required_option(args, "src");
+  const std::string dst_text = required_option(args, "dst");
   const auto time = args.take_option("time");
   args.expect_empty();
 
   const TemporalGraph g = read_trace_file(path);
-  if (src >= g.num_nodes() || dst >= g.num_nodes())
-    throw CliError("node id out of range");
+  const NodeId src = parse_node(src_text, "src", g.num_nodes());
+  const NodeId dst = parse_node(dst_text, "dst", g.num_nodes());
 
   const auto routes = enumerate_optimal_routes(g, src, dst);
   if (routes.empty()) {

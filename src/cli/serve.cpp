@@ -36,15 +36,6 @@ std::uint64_t micros_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-NodeId parse_node(const QueryEngine& engine, const std::string& text,
-                  const char* what) {
-  const unsigned long id = parse_count(text, what);
-  if (id >= engine.graph().num_nodes())
-    throw CliError(std::string(what) + " out of range (trace has " +
-                   std::to_string(engine.graph().num_nodes()) + " nodes)");
-  return static_cast<NodeId>(id);
-}
-
 void append_f64(std::string& out, const char* prefix, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%s%.17g", prefix, v);
@@ -69,13 +60,16 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
     lo = parse_double(rest[1], "t_lo");
     hi = parse_double(rest[2], "t_hi");
   };
+  const auto node = [&](std::size_t i, const char* what) {
+    return parse_node(rest[i], what, engine.graph().num_nodes());
+  };
 
   try {
     const auto t0 = std::chrono::steady_clock::now();
     if (kind == "cdf") {
       if (rest.size() != 1 && rest.size() != 3)
         throw CliError("cdf expects: cdf <src> [t_lo t_hi]");
-      const NodeId src = parse_node(engine, rest[0], "src");
+      const NodeId src = node(0, "src");
       parse_window();
       const DelayCdfResult r = engine.source_cdf(src, lo, hi);
       std::string out;
@@ -112,7 +106,7 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
     }
     if (kind == "reach") {
       if (rest.size() != 2) throw CliError("reach expects: reach <src> <t>");
-      const NodeId src = parse_node(engine, rest[0], "src");
+      const NodeId src = node(0, "src");
       const double t = parse_double(rest[1], "t");
       const std::size_t count = engine.reachable_count(src, t);
       std::string out;
@@ -128,8 +122,8 @@ std::string execute_query(QueryEngine& engine, const std::string& line) {
     if (kind == "journey") {
       if (rest.size() != 2)
         throw CliError("journey expects: journey <src> <dst>");
-      const NodeId src = parse_node(engine, rest[0], "src");
-      const NodeId dst = parse_node(engine, rest[1], "dst");
+      const NodeId src = node(0, "src");
+      const NodeId dst = node(1, "dst");
       const JourneyOptima j = engine.journey(src, dst);
       std::string out;
       char head[96];
@@ -179,10 +173,10 @@ std::string execute_ingest(QueryEngine& engine, const std::string& line) {
     const auto t0 = std::chrono::steady_clock::now();
     if (rest.size() != 4)
       throw CliError("ingest expects: ingest <u> <v> <begin> <end>");
-    const Contact c{
-        static_cast<NodeId>(parse_count(rest[0], "u")),
-        static_cast<NodeId>(parse_count(rest[1], "v")),
-        parse_double(rest[2], "begin"), parse_double(rest[3], "end")};
+    const std::size_t n = engine.graph().num_nodes();
+    const Contact c{parse_node(rest[0], "u", n), parse_node(rest[1], "v", n),
+                    parse_double(rest[2], "begin"),
+                    parse_double(rest[3], "end")};
     const std::uint64_t epoch = engine.ingest(std::span<const Contact>(&c, 1));
     char buf[160];
     std::snprintf(buf, sizeof buf,

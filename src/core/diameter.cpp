@@ -1,13 +1,11 @@
 #include "core/diameter.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "core/source_cdf.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odtn {
 
@@ -67,42 +65,25 @@ DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
     throw std::invalid_argument("compute_delay_cdf: max_hops must be >= 1");
 
   const TimeWindows w = resolve_cdf_windows(graph, options);
-  const std::vector<NodeId> endpoints = resolve_cdf_endpoints(graph, options);
-  const bool incremental = use_incremental_accumulation(options);
+  // The endpoint set (empty = every node) and its membership mask.
+  std::vector<NodeId> endpoints = options.endpoints;
+  if (endpoints.empty()) {
+    endpoints.resize(graph.num_nodes());
+    std::iota(endpoints.begin(), endpoints.end(), NodeId{0});
+  }
   std::vector<std::uint8_t> is_endpoint(graph.num_nodes(), 0);
-  for (NodeId n : endpoints) is_endpoint[n] = 1;
+  for (NodeId n : endpoints) {
+    if (n >= graph.num_nodes())
+      throw std::invalid_argument("compute_delay_cdf: endpoint out of range");
+    is_endpoint[n] = 1;
+  }
 
-  // Reusable pool with dynamic source hand-out: expensive sources (dense
-  // neighborhoods, long traces) no longer serialize behind a strided
-  // static partition. num_threads == 0 reuses the shared pool.
-  std::optional<ThreadPool> local_pool;
-  if (options.num_threads != 0) local_pool.emplace(options.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
-
-  // Each worker integrates one source at a time into its private zeroed
-  // scratch partial; the folder merges partials in ascending endpoint
-  // index no matter which worker produced them. The result is therefore
-  // bit-identical across thread counts.
-  std::vector<SourceCdfWorker> workers(pool.num_workers());
-  std::vector<SourceCdfPartial> scratch;
-  scratch.reserve(pool.num_workers());
-  for (unsigned t = 0; t < pool.num_workers(); ++t)
-    scratch.emplace_back(options.grid, options.max_hops);
-  OrderedCdfFolder folder(options.grid, options.max_hops, endpoints.size());
-
-  pool.parallel_for(endpoints.size(), [&](std::size_t i, unsigned worker) {
-    SourceCdfPartial& partial = scratch[worker];
-    partial.clear();
-    process_source(graph, endpoints[i], endpoints, is_endpoint, w,
-                   options.max_hops, options.max_levels, options.engine,
-                   incremental, workers[worker], partial);
-    folder.submit(i, partial);
-  });
-
-  EngineStats stats;
-  for (const SourceCdfWorker& worker : workers)
-    stats.merge(worker.take_stats());
-  return finalize_delay_cdf(folder.total(), stats, options, incremental);
+  return run_source_cdf(
+      options, endpoints.size(),
+      [&](std::size_t i, SourceCdfSlot& slot) -> const SourceCdfPartial& {
+        return process_source(graph, endpoints[i], endpoints, is_endpoint, w,
+                              options, slot);
+      });
 }
 
 }  // namespace odtn

@@ -22,24 +22,19 @@ namespace odtn {
 
 /// How compute_delay_cdf turns per-source frontiers into per-hop CDFs.
 enum class CdfAccumulation {
-  /// kIncremental for the pooled engine, kDirect for the level sweep.
+  /// Hop-incremental on the pooled engine (kDirect on the level sweep,
+  /// which has no change tracking): accumulator k receives only the
+  /// level-k delta -- changed frontiers retracted (weight -1) and
+  /// re-added -- and one prefix_merge at finalization rebuilds the
+  /// per-hop CDFs. Workers recycle one engine workspace across sources
+  /// (SingleSourceEngine::reset), so steady state allocates nothing.
+  /// O(sum |changed frontier|) integration work, up to ~K x less.
   kAuto,
   /// Reference semantics: after each of the max_hops levels (and once
   /// more at the fixpoint), re-integrate EVERY destination's full
   /// delivery function into that hop budget's accumulator, with a fresh
   /// engine per source. O(K * sum |frontier|) integration work.
   kDirect,
-  /// Hop-incremental scheme (requires the pooled engine): each
-  /// accumulator k receives only the level-k delta --
-  /// for destinations whose frontier changed at level k, the old
-  /// frontier's segments are retracted (weight -1) and the new one's
-  /// added -- and the per-hop CDFs are reconstructed by one prefix_merge
-  /// at finalization. Workers recycle a single engine workspace across
-  /// sources via SingleSourceEngine::reset, so steady state allocates
-  /// nothing (the pre-change frontiers are free arena spans rather than
-  /// copies). O(sum |changed frontier|) integration work, up to ~K x
-  /// less.
-  kIncremental,
 };
 
 /// Options for the all-pairs delay-CDF computation.
@@ -79,10 +74,9 @@ struct DelayCdfOptions {
   /// reference (seed) semantics, kept for cross-checks and benches.
   EngineMode engine = EngineMode::kPooled;
 
-  /// Accumulation scheme. kIncremental with the level-sweep engine
-  /// throws; both schemes agree within accumulated rounding (~1e-12
-  /// observed, tests gate at 1e-9) and are cross-checked in
-  /// bench_perf_engine.
+  /// Accumulation scheme. The incremental (kAuto on kPooled) and direct
+  /// schemes agree within accumulated rounding (~1e-12 observed, tests
+  /// gate at 1e-9) and are cross-checked in bench_perf_engine.
   CdfAccumulation accumulation = CdfAccumulation::kAuto;
 };
 
@@ -145,7 +139,7 @@ struct DelayCdfResult {
 /// destination's delivery function over all start times -- either in
 /// full at every hop budget (CdfAccumulation::kDirect) or, by default
 /// with the pooled engine, incrementally from the engine's per-level
-/// change sets (CdfAccumulation::kIncremental).
+/// change sets (CdfAccumulation::kAuto).
 DelayCdfResult compute_delay_cdf(const TemporalGraph& graph,
                                  const DelayCdfOptions& options);
 

@@ -1,12 +1,11 @@
 #include "core/incremental_engine.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/optimal_paths.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odtn {
 
@@ -405,24 +404,19 @@ std::uint64_t IncrementalAllPairsEngine::append(
   const std::size_t old_count = graph_.num_contacts();
   graph_.append_contacts(batch);
 
-  std::optional<ThreadPool> local_pool;
-  if (options_.num_threads != 0) local_pool.emplace(options_.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
   // Build (or grow) the indexes before fanning out, so the workers only
   // read them: append_contacts already merged the new windows in if they
   // existed, and this materializes them on the very first epoch.
   graph_.neighbor_offsets();
 
-  pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned) {
-    if (old_count == 0) {
-      // First (bulk) batch: seed each DP from a cold pooled run instead
-      // of replaying the epoch machinery -- same frontiers, batch cost.
-      dps_[i].bootstrap(graph_);
-      dirty_[i] = 1;
-    } else if (dps_[i].apply(graph_, old_count)) {
-      dirty_[i] = 1;
-    }
-  });
+  // The first (bulk) batch seeds each DP from a cold pooled run instead
+  // of replaying the epoch machinery -- same frontiers, batch cost.
+  for_each_source(options_.num_threads, dps_.size(),
+                  [&](std::size_t i, unsigned) {
+                    if (old_count == 0) dps_[i].bootstrap(graph_);
+                    if (old_count == 0 || dps_[i].apply(graph_, old_count))
+                      dirty_[i] = 1;
+                  });
   return graph_.epoch();
 }
 
@@ -440,7 +434,7 @@ DelayCdfOptions IncrementalAllPairsEngine::cdf_options() const {
 
 void IncrementalAllPairsEngine::integrate_source(
     NodeId src, const TimeWindows& w, SourceCdfPartial& out,
-    std::uint64_t* pairs_integrated) const {
+    std::uint64_t& pairs_integrated) const {
   // Byte-for-byte replay of process_source's direct scheme, reading the
   // frontier history instead of stepping an engine: same per-window
   // accumulate calls on the same SoA lanes in the same order.
@@ -452,7 +446,7 @@ void IncrementalAllPairsEngine::integrate_source(
                               int level) {
     const FrontierView f = dp.frontier_at(dst, level);
     for (const auto& [lo, hi] : w) f.accumulate_delay_measure(acc, lo, hi);
-    *pairs_integrated += f.size();
+    pairs_integrated += f.size();
     acc.add_observation_measure(window_measure);
   };
   // Levels past the source's deepest productive one read the fixpoint
@@ -502,24 +496,16 @@ DelayCdfResult IncrementalAllPairsEngine::all_pairs() {
     have_windows_ = true;
   }
 
-  std::optional<ThreadPool> local_pool;
-  if (options_.num_threads != 0) local_pool.emplace(options_.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
-
-  OrderedCdfFolder folder(options_.grid, options_.max_hops, dps_.size());
-  std::vector<std::uint64_t> pairs(pool.num_workers(), 0);
-  pool.parallel_for(dps_.size(), [&](std::size_t i, unsigned worker) {
-    if (dirty_[i]) {
-      integrate_source(static_cast<NodeId>(i), w, partials_[i],
-                       &pairs[worker]);
-      dirty_[i] = 0;
-    }
-    folder.submit(i, partials_[i]);
-  });
-
-  EngineStats stats;
-  for (const std::uint64_t p : pairs) stats.cdf_pairs_integrated += p;
-  return finalize_delay_cdf(folder.total(), stats, o, /*incremental=*/false);
+  return run_source_cdf(
+      o, dps_.size(),
+      [&](std::size_t i, SourceCdfSlot& slot) -> const SourceCdfPartial& {
+        if (dirty_[i]) {
+          integrate_source(static_cast<NodeId>(i), w, partials_[i],
+                           slot.stats.cdf_pairs_integrated);
+          dirty_[i] = 0;
+        }
+        return partials_[i];
+      });
 }
 
 }  // namespace odtn

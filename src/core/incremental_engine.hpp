@@ -22,10 +22,11 @@
 // version merge is plain Pareto-set maintenance, so after any sequence
 // of epochs every stored frontier is BIT-identical to the one a cold
 // SingleSourceEngine computes on the concatenated trace. The per-epoch
-// CDF emission then replays process_source's direct integration order
-// (same frontier views, same window loop, same fold), which makes each
-// epoch's DelayCdfResult bit-identical to a cold compute_delay_cdf with
-// CdfAccumulation::kDirect on the trace so far. bench_perf_live gates
+// CDF emission is one run_source_cdf call whose hook replays
+// process_source's direct integration order into a dirty source's
+// cached partial, so each epoch's DelayCdfResult is bit-identical to a
+// cold compute_delay_cdf with CdfAccumulation::kDirect on the trace so
+// far. bench_perf_live gates
 // both the identity and the >= 3x epoch-vs-cold cost advantage.
 #pragma once
 
@@ -186,7 +187,7 @@ class IncrementalAllPairsEngine {
   DelayCdfOptions cdf_options() const;
   void integrate_source(NodeId src, const TimeWindows& w,
                         SourceCdfPartial& out,
-                        std::uint64_t* pairs_integrated) const;
+                        std::uint64_t& pairs_integrated) const;
 
   TemporalGraph graph_;
   IncrementalCdfOptions options_;

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "sim/flooding.hpp"
-#include "util/thread_pool.hpp"
 
 namespace odtn {
 namespace {
@@ -88,9 +87,8 @@ std::uint64_t QueryEngine::ingest(std::span<const Contact> batch) {
   return epoch;
 }
 
-std::unique_ptr<QueryEngine::Workspace> QueryEngine::checkout_workspace()
-    const {
-  std::unique_ptr<Workspace> workspace;
+std::unique_ptr<SourceCdfWorkspace> QueryEngine::checkout_workspace() const {
+  std::unique_ptr<SourceCdfWorkspace> workspace;
   {
     const std::lock_guard<std::mutex> lock(workspace_mutex_);
     if (!free_workspaces_.empty()) {
@@ -99,15 +97,14 @@ std::unique_ptr<QueryEngine::Workspace> QueryEngine::checkout_workspace()
     }
   }
   if (!workspace)
-    return std::make_unique<Workspace>(
-        Workspace{SourceCdfWorker{}, SourceCdfPartial(options_.grid,
-                                                      options_.max_hops)});
-  workspace->worker.recycle();
+    return std::make_unique<SourceCdfWorkspace>(options_.grid,
+                                                options_.max_hops);
+  workspace->recycle();
   return workspace;
 }
 
 void QueryEngine::checkin_workspace(
-    std::unique_ptr<Workspace> workspace) const {
+    std::unique_ptr<SourceCdfWorkspace> workspace) const {
   const std::lock_guard<std::mutex> lock(workspace_mutex_);
   free_workspaces_.push_back(std::move(workspace));
 }
@@ -146,58 +143,32 @@ DelayCdfOptions QueryEngine::cdf_options(std::optional<double> t_lo,
 DelayCdfResult QueryEngine::run(const std::vector<NodeId>& sources,
                                 const DelayCdfOptions& options) {
   const TimeWindows w = resolve_cdf_windows(graph_, options);
-  const bool incremental = use_incremental_accumulation(options);
   const std::size_t partial_cost = cached_partial_bytes();
+  const WorkspaceLender lender{
+      [this] { return checkout_workspace(); },
+      [this](auto workspace) { checkin_workspace(std::move(workspace)); }};
 
-  std::optional<ThreadPool> local_pool;
-  if (options.num_threads != 0) local_pool.emplace(options.num_threads);
-  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
-
-  struct CacheCounters {
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-  std::vector<CacheCounters> counters(pool.num_workers());
-  OrderedCdfFolder folder(options.grid, options.max_hops, sources.size());
-
-  // Same shape as compute_delay_cdf's driver (core/diameter.cpp), with
-  // a cache probe in front of process_source. Hits and misses all land
-  // in the folder in ascending source order, so mixing them changes no
-  // bit of the answer -- see the header's contract. A worker slot checks
-  // out a workspace on its first miss, so an all-hit query takes none.
-  std::vector<std::unique_ptr<Workspace>> slots(pool.num_workers());
-  pool.parallel_for(sources.size(), [&](std::size_t i, unsigned worker) {
-    const std::string key = query_key(sources[i], w);
-    if (const std::shared_ptr<const SourceCdfPartial> hit = cache_->get(key)) {
-      ++counters[worker].hits;
-      folder.submit(i, *hit);
-      return;
-    }
-    ++counters[worker].misses;
-    std::unique_ptr<Workspace>& slot = slots[worker];
-    if (!slot) slot = checkout_workspace();
-    SourceCdfPartial& partial = slot->partial;
-    partial.clear();
-    process_source(graph_, sources[i], all_nodes_, is_endpoint_, w,
-                   options.max_hops, options.max_levels, options.engine,
-                   incremental, slot->worker, partial);
-    counters[worker].evictions +=
-        cache_->put(key, std::make_shared<SourceCdfPartial>(partial),
-                    partial_cost + key.size());
-    folder.submit(i, partial);
-  });
-
-  EngineStats stats;
-  for (std::unique_ptr<Workspace>& slot : slots) {
-    if (!slot) continue;
-    stats.merge(slot->worker.take_stats());
-    checkin_workspace(std::move(slot));
-  }
-  for (const CacheCounters& c : counters) {
-    stats.cache_hits += c.hits;
-    stats.cache_misses += c.misses;
-    stats.cache_evictions += c.evictions;
-  }
-  return finalize_delay_cdf(folder.total(), stats, options, incremental);
+  // A cache probe in front of process_source. Hits and misses all land
+  // in the executor's fold in ascending source order, so mixing them
+  // changes no bit of the answer -- see the header's contract.
+  return run_source_cdf(
+      options, sources.size(),
+      [&](std::size_t i, SourceCdfSlot& slot) -> const SourceCdfPartial& {
+        const std::string key = query_key(sources[i], w);
+        slot.held = cache_->get(key);
+        if (slot.held) {
+          ++slot.stats.cache_hits;
+          return *slot.held;
+        }
+        ++slot.stats.cache_misses;
+        const SourceCdfPartial& partial = process_source(
+            graph_, sources[i], all_nodes_, is_endpoint_, w, options, slot);
+        slot.stats.cache_evictions +=
+            cache_->put(key, std::make_shared<SourceCdfPartial>(partial),
+                        partial_cost + key.size());
+        return partial;
+      },
+      lender);
 }
 
 DelayCdfResult QueryEngine::source_cdf(NodeId source,
@@ -232,9 +203,9 @@ std::size_t QueryEngine::reachable_count(NodeId source, double t) const {
 JourneyOptima QueryEngine::journey(NodeId source, NodeId destination) const {
   if (source >= graph_.num_nodes() || destination >= graph_.num_nodes())
     throw std::invalid_argument("QueryEngine::journey: bad node id");
-  std::unique_ptr<Workspace> workspace = checkout_workspace();
+  std::unique_ptr<SourceCdfWorkspace> workspace = checkout_workspace();
   SingleSourceEngine& engine =
-      workspace->worker.engine_for(graph_, source, options_.engine);
+      workspace->engine_for(graph_, source, options_.engine);
   const JourneyOptima j =
       compute_journeys(graph_, engine, options_.max_levels)[destination];
   checkin_workspace(std::move(workspace));

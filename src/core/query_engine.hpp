@@ -6,11 +6,11 @@
 // What is cached, and why the answers stay bit-identical:
 //
 //   The unit of caching is one source's PRE-FINALIZE SourceCdfPartial --
-//   the raw difference-array lanes that compute_delay_cdf's workers
-//   produce. All-pairs answers are the canonical ascending-endpoint
-//   left-chain fold of those partials (core/source_cdf.hpp), so a run
-//   that pulls some partials from cache and computes the rest folds THE
-//   SAME DOUBLES IN THE SAME ORDER as a cold run: every CDF value,
+//   the raw difference-array lanes process_source produces. All-pairs
+//   answers are the canonical ascending-endpoint left-chain fold of
+//   those partials (core/source_cdf.hpp), so a run that pulls some
+//   partials from cache and computes the rest folds THE SAME DOUBLES IN
+//   THE SAME ORDER as a cold run: every CDF value,
 //   diameter and denominator is bit-identical, whatever subset hit.
 //   Finalization (prefix-merge + evaluation) always happens fresh on the
 //   folded total. Only the instrumentation counters differ between warm
@@ -20,9 +20,9 @@
 //
 // Cache keys bind the partial to everything that determines its bytes:
 // the graph's fingerprint (node/contact counts, directedness, span bit
-// patterns) and epoch, the engine mode,
-// accumulation scheme, hop budget, the grid's exact bit patterns, the
-// resolved start-time windows' bit patterns, and the source id. Engines
+// patterns) and epoch, the engine mode, accumulation scheme, hop budget,
+// the grid's exact bit patterns, the resolved start-time windows' bit
+// patterns, and the source id. Engines
 // over different graphs can therefore safely SHARE one cache (pass the
 // same shared_ptr): keys from differently transformed traces never
 // collide.
@@ -36,14 +36,13 @@
 //   journey                 one DP run (shortest hops per level, fastest
 //                           off the final frontiers), no cache.
 //
-// Engine workspaces (SourceCdfWorker: the recycled SingleSourceEngine
-// plus a scratch partial) outlive queries in a mutex-guarded free list.
-// A query checks a workspace out the first time one of its worker slots
-// computes a source, owns it exclusively until the query ends, then
-// returns it; a query that finds the list empty builds a fresh one. So
-// concurrent queries (serve batches) and nested inline runs never share
-// a workspace, and a recycled workspace reports exactly a fresh one's
-// EngineStats (SourceCdfWorker::recycle).
+// A CDF query is one run_source_cdf call (core/source_cdf.hpp) whose
+// hook is the cache probe / put around process_source. Its workspaces
+// (SourceCdfWorkspace) outlive queries in a mutex-guarded free list: an
+// executor slot checks one out on its first miss and returns it when
+// the query ends; an empty list builds a fresh one. So concurrent
+// queries and nested inline runs never share a workspace, and a
+// recycled one reports a fresh one's EngineStats (recycle()).
 #pragma once
 
 #include <cstddef>
@@ -147,13 +146,9 @@ class QueryEngine {
   std::string query_key(NodeId source, const TimeWindows& windows) const;
   void rebuild_key_prefix();
 
-  /// One worker slot's recyclable state (see the file comment).
-  struct Workspace {
-    SourceCdfWorker worker;
-    SourceCdfPartial partial;
-  };
-  std::unique_ptr<Workspace> checkout_workspace() const;
-  void checkin_workspace(std::unique_ptr<Workspace> workspace) const;
+  /// The workspace free list (see the file comment).
+  std::unique_ptr<SourceCdfWorkspace> checkout_workspace() const;
+  void checkin_workspace(std::unique_ptr<SourceCdfWorkspace> workspace) const;
 
   TemporalGraph graph_;
   QueryEngineOptions options_;
@@ -162,7 +157,7 @@ class QueryEngine {
   std::vector<NodeId> all_nodes_;
   std::vector<std::uint8_t> is_endpoint_;  // all-ones mask over nodes
   mutable std::mutex workspace_mutex_;
-  mutable std::vector<std::unique_ptr<Workspace>> free_workspaces_;
+  mutable std::vector<std::unique_ptr<SourceCdfWorkspace>> free_workspaces_;
 };
 
 }  // namespace odtn

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace odtn {
 namespace {
@@ -68,42 +69,46 @@ void integrate_frontier_delta(const FrontierView& old_f,
   pairs_integrated += om + nm;
 }
 
+/// The level sweep has no change tracking, so it accumulates directly.
+bool use_incremental_accumulation(const DelayCdfOptions& options) {
+  return options.accumulation == CdfAccumulation::kAuto &&
+         options.engine == EngineMode::kPooled;
+}
+
 void process_source_direct(const TemporalGraph& graph, NodeId src,
                            const std::vector<NodeId>& endpoints,
-                           const TimeWindows& w, int max_hops, int max_levels,
-                           EngineMode mode, SourceCdfWorker& worker,
-                           SourceCdfPartial& out) {
-  SingleSourceEngine engine(graph, src, mode);
+                           const TimeWindows& w, const DelayCdfOptions& o,
+                           EngineStats& stats, SourceCdfPartial& out) {
+  SingleSourceEngine engine(graph, src, o.engine);
   const double window_measure = total_window_measure(w);
   auto accumulate = [&](MeasureCdfAccumulator& acc, NodeId dst) {
     const FrontierView f = engine.frontier_view(dst);
     for (const auto& [lo, hi] : w) f.accumulate_delay_measure(acc, lo, hi);
-    worker.stats.cdf_pairs_integrated += f.size();
+    stats.cdf_pairs_integrated += f.size();
     acc.add_observation_measure(window_measure);
   };
-  for (int k = 1; k <= max_hops; ++k) {
+  for (int k = 1; k <= o.max_hops; ++k) {
     engine.step();  // no-op once at fixpoint; frontiers stay L_inf
     for (NodeId dst : endpoints) {
       if (dst == src) continue;
       accumulate(out.by_hops[k - 1], dst);
     }
   }
-  record_fixpoint(out, engine.run_to_fixpoint(max_levels), max_levels);
+  record_fixpoint(out, engine.run_to_fixpoint(o.max_levels), o.max_levels);
   for (NodeId dst : endpoints) {
     if (dst == src) continue;
     accumulate(out.unbounded, dst);
   }
-  worker.stats.merge(engine.stats());
+  stats.merge(engine.stats());
 }
 
 void process_source_incremental(const TemporalGraph& graph, NodeId src,
                                 const std::vector<NodeId>& endpoints,
                                 const std::vector<std::uint8_t>& is_endpoint,
-                                const TimeWindows& w, int max_hops,
-                                int max_levels, EngineMode mode,
-                                SourceCdfWorker& worker,
-                                SourceCdfPartial& out) {
-  SingleSourceEngine& engine = worker.engine_for(graph, src, mode);
+                                const TimeWindows& w, const DelayCdfOptions& o,
+                                SourceCdfWorkspace& ws, EngineStats& stats) {
+  SingleSourceEngine& engine = ws.engine_for(graph, src, o.engine);
+  SourceCdfPartial& out = ws.partial;
 
   // Observation measure for every (src, dst) pair of this source parks
   // in the hop-1 accumulator; prefix_merge propagates it to every hop
@@ -122,22 +127,65 @@ void process_source_incremental(const TemporalGraph& graph, NodeId src,
       if (dst == src || !is_endpoint[dst]) continue;
       integrate_frontier_delta(engine.previous_frontier_view(i),
                                engine.frontier_view(dst), w, acc,
-                               worker.stats.cdf_pairs_integrated);
+                               stats.cdf_pairs_integrated);
     }
   };
-  for (int k = 1; k <= max_hops; ++k) {
+  for (int k = 1; k <= o.max_hops; ++k) {
     engine.step();  // no-op once at fixpoint: last_changed() is empty
     apply_level_deltas(out.by_hops[k - 1]);
   }
   // Levels past the last budget feed the unbounded accumulator, which
   // finalization chains onto by_hops[max_hops - 1] -- reaching the
   // fixpoint costs only the residual deltas, never a full re-pass.
-  while (!engine.at_fixpoint() && engine.hops() < max_levels) {
+  while (!engine.at_fixpoint() && engine.hops() < o.max_levels) {
     engine.step();
     apply_level_deltas(out.unbounded);
   }
-  record_fixpoint(out, engine.at_fixpoint() ? engine.hops() : max_levels + 1,
-                  max_levels);
+  record_fixpoint(out,
+                  engine.at_fixpoint() ? engine.hops() : o.max_levels + 1,
+                  o.max_levels);
+}
+
+/// Prefix-merges the incremental deltas, evaluates the per-hop CDFs,
+/// clamps the hop monotonicity invariant, and fills the result scalars.
+/// `total` is consumed (its accumulators are prefix-merged in place).
+DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
+                                  const EngineStats& stats,
+                                  const DelayCdfOptions& options) {
+  const bool incremental = use_incremental_accumulation(options);
+  if (incremental) {
+    // Reconstruct CDF_k = CDF_{k-1} + delta_k across the hop budgets and
+    // chain the past-max_hops deltas onto the last budget for the
+    // unbounded CDF. Folding the per-source partials first is equivalent
+    // (both are sums over the same segment set).
+    MeasureCdfAccumulator::prefix_merge(total.by_hops);
+    total.unbounded.merge(total.by_hops.back());
+  }
+
+  DelayCdfResult result;
+  result.grid = options.grid;
+  result.cdf_by_hops.reserve(options.max_hops);
+  for (int k = 0; k < options.max_hops; ++k)
+    result.cdf_by_hops.push_back(total.by_hops[k].cdf());
+  result.cdf_unbounded = total.unbounded.cdf();
+  if (incremental) {
+    // The prefix-reconstructed CDFs are mathematically monotone in the
+    // hop budget, but each budget's numerator carries its own rounding,
+    // so adjacent budgets can invert by ~1 ulp where the delta is zero.
+    // Clamp to restore the exact invariant consumers rely on.
+    for (int k = 1; k < options.max_hops; ++k)
+      for (std::size_t j = 0; j < result.grid.size(); ++j)
+        result.cdf_by_hops[k][j] =
+            std::max(result.cdf_by_hops[k][j], result.cdf_by_hops[k - 1][j]);
+    for (std::size_t j = 0; j < result.grid.size(); ++j)
+      result.cdf_unbounded[j] =
+          std::max(result.cdf_unbounded[j], result.cdf_by_hops.back()[j]);
+  }
+  result.fixpoint_hops = total.fixpoint_hops;
+  result.converged = total.converged;
+  result.stats = stats;
+  result.denominator = total.unbounded.denominator();
+  return result;
 }
 
 }  // namespace
@@ -180,33 +228,6 @@ double total_window_measure(const TimeWindows& windows) {
   return total;
 }
 
-std::vector<NodeId> resolve_cdf_endpoints(const TemporalGraph& graph,
-                                          const DelayCdfOptions& options) {
-  std::vector<NodeId> endpoints = options.endpoints;
-  if (endpoints.empty()) {
-    endpoints.resize(graph.num_nodes());
-    for (std::size_t i = 0; i < endpoints.size(); ++i)
-      endpoints[i] = static_cast<NodeId>(i);
-  }
-  for (NodeId n : endpoints) {
-    if (n >= graph.num_nodes())
-      throw std::invalid_argument("compute_delay_cdf: endpoint out of range");
-  }
-  return endpoints;
-}
-
-bool use_incremental_accumulation(const DelayCdfOptions& options) {
-  const bool incremental =
-      options.accumulation == CdfAccumulation::kIncremental ||
-      (options.accumulation == CdfAccumulation::kAuto &&
-       options.engine != EngineMode::kLevelSweep);
-  if (incremental && options.engine == EngineMode::kLevelSweep)
-    throw std::invalid_argument(
-        "compute_delay_cdf: incremental accumulation requires the pooled "
-        "engine");
-  return incremental;
-}
-
 SourceCdfPartial::SourceCdfPartial(const std::vector<double>& grid,
                                    int max_hops)
     : unbounded(grid) {
@@ -229,13 +250,10 @@ void SourceCdfPartial::merge_from(const SourceCdfPartial& other) {
   converged = converged && other.converged;
 }
 
-void SourceCdfWorker::recycle() noexcept {
-  stats = EngineStats{};
-  stale = engine.has_value();
-}
+void SourceCdfWorkspace::recycle() noexcept { stale = engine.has_value(); }
 
-SingleSourceEngine& SourceCdfWorker::engine_for(const TemporalGraph& graph,
-                                                NodeId src, EngineMode mode) {
+SingleSourceEngine& SourceCdfWorkspace::engine_for(
+    const TemporalGraph& graph, NodeId src, EngineMode mode) {
   if (!engine) {
     engine.emplace(graph, src, mode);
   } else if (stale) {
@@ -247,24 +265,28 @@ SingleSourceEngine& SourceCdfWorker::engine_for(const TemporalGraph& graph,
   return *engine;
 }
 
-EngineStats SourceCdfWorker::take_stats() const {
-  EngineStats out = stats;
-  if (engine && !stale) out.merge(engine->stats());
-  return out;
+SourceCdfWorkspace& SourceCdfSlot::workspace() {
+  if (!taken && lender.checkout) taken = lender.checkout();
+  if (!taken)
+    taken = std::make_unique<SourceCdfWorkspace>(options.grid,
+                                                 options.max_hops);
+  taken->partial.clear();
+  return *taken;
 }
 
-void process_source(const TemporalGraph& graph, NodeId src,
-                    const std::vector<NodeId>& endpoints,
-                    const std::vector<std::uint8_t>& is_endpoint,
-                    const TimeWindows& w, int max_hops, int max_levels,
-                    EngineMode mode, bool incremental,
-                    SourceCdfWorker& worker, SourceCdfPartial& out) {
-  if (incremental)
-    process_source_incremental(graph, src, endpoints, is_endpoint, w,
-                               max_hops, max_levels, mode, worker, out);
+const SourceCdfPartial& process_source(
+    const TemporalGraph& graph, NodeId src,
+    const std::vector<NodeId>& endpoints,
+    const std::vector<std::uint8_t>& is_endpoint, const TimeWindows& w,
+    const DelayCdfOptions& options, SourceCdfSlot& slot) {
+  SourceCdfWorkspace& ws = slot.workspace();
+  if (use_incremental_accumulation(options))
+    process_source_incremental(graph, src, endpoints, is_endpoint, w, options,
+                               ws, slot.stats);
   else
-    process_source_direct(graph, src, endpoints, w, max_hops, max_levels,
-                          mode, worker, out);
+    process_source_direct(graph, src, endpoints, w, options, slot.stats,
+                          ws.partial);
+  return ws.partial;
 }
 
 OrderedCdfFolder::OrderedCdfFolder(const std::vector<double>& grid,
@@ -296,43 +318,45 @@ SourceCdfPartial& OrderedCdfFolder::total() {
   return total_;
 }
 
-DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
-                                  const EngineStats& stats,
-                                  const DelayCdfOptions& options,
-                                  bool incremental) {
-  if (incremental) {
-    // Reconstruct CDF_k = CDF_{k-1} + delta_k across the hop budgets and
-    // chain the past-max_hops deltas onto the last budget for the
-    // unbounded CDF. Folding the per-source partials first is equivalent
-    // (both are sums over the same segment set).
-    MeasureCdfAccumulator::prefix_merge(total.by_hops);
-    total.unbounded.merge(total.by_hops.back());
-  }
+void for_each_source(unsigned num_threads, std::size_t count,
+                     const std::function<void(std::size_t, unsigned)>& fn) {
+  // Dynamic hand-out: expensive sources (dense neighborhoods, long
+  // traces) do not serialize behind a strided static partition.
+  std::optional<ThreadPool> local_pool;
+  if (num_threads != 0) local_pool.emplace(num_threads);
+  ThreadPool& pool = local_pool ? *local_pool : shared_thread_pool();
+  pool.parallel_for(count, fn);
+}
 
-  DelayCdfResult result;
-  result.grid = options.grid;
-  result.cdf_by_hops.reserve(options.max_hops);
-  for (int k = 0; k < options.max_hops; ++k)
-    result.cdf_by_hops.push_back(total.by_hops[k].cdf());
-  result.cdf_unbounded = total.unbounded.cdf();
-  if (incremental) {
-    // The prefix-reconstructed CDFs are mathematically monotone in the
-    // hop budget, but each budget's numerator carries its own rounding,
-    // so adjacent budgets can invert by ~1 ulp where the delta is zero.
-    // Clamp to restore the exact invariant consumers rely on.
-    for (int k = 1; k < options.max_hops; ++k)
-      for (std::size_t j = 0; j < result.grid.size(); ++j)
-        result.cdf_by_hops[k][j] =
-            std::max(result.cdf_by_hops[k][j], result.cdf_by_hops[k - 1][j]);
-    for (std::size_t j = 0; j < result.grid.size(); ++j)
-      result.cdf_unbounded[j] =
-          std::max(result.cdf_unbounded[j], result.cdf_by_hops.back()[j]);
+DelayCdfResult run_source_cdf(const DelayCdfOptions& options,
+                              std::size_t count, const SourceCdfHook& hook,
+                              const WorkspaceLender& lender) {
+  // One slot per worker id: a local pool of num_threads workers hands
+  // out ids below num_threads, the shared pool below its size.
+  const unsigned workers = options.num_threads != 0
+                               ? options.num_threads
+                               : shared_thread_pool().num_workers();
+  std::vector<SourceCdfSlot> slots;
+  slots.reserve(workers);
+  for (unsigned t = 0; t < workers; ++t)
+    slots.push_back({{}, nullptr, options, lender, nullptr});
+  OrderedCdfFolder folder(options.grid, options.max_hops, count);
+  for_each_source(options.num_threads, count,
+                  [&](std::size_t i, unsigned worker) {
+                    SourceCdfSlot& slot = slots[worker];
+                    folder.submit(i, hook(i, slot));
+                    slot.held.reset();
+                  });
+
+  EngineStats stats;
+  for (SourceCdfSlot& slot : slots) {
+    stats.merge(slot.stats);
+    if (!slot.taken) continue;
+    const SourceCdfWorkspace& ws = *slot.taken;
+    if (ws.engine && !ws.stale) stats.merge(ws.engine->stats());
+    if (lender.checkin) lender.checkin(std::move(slot.taken));
   }
-  result.fixpoint_hops = total.fixpoint_hops;
-  result.converged = total.converged;
-  result.stats = stats;
-  result.denominator = total.unbounded.denominator();
-  return result;
+  return finalize_delay_cdf(folder.total(), stats, options);
 }
 
 }  // namespace odtn

@@ -1,6 +1,6 @@
-// Per-source delay-CDF processing, shared by the all-pairs drivers
-// (compute_delay_cdf in core/diameter.cpp, QueryEngine::run and
-// IncrementalAllPairsEngine::all_pairs).
+// The all-pairs executor (run_source_cdf): compute_delay_cdf,
+// QueryEngine::run and IncrementalAllPairsEngine::all_pairs each pass
+// it one per-source hook.
 //
 // One source's contribution to the all-pairs CDFs is integrated into a
 // private zeroed SourceCdfPartial, and partials are folded into the
@@ -16,7 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -44,21 +46,11 @@ TimeWindows resolve_cdf_windows(const TemporalGraph& graph,
 /// Total Lebesgue measure of the window union.
 double total_window_measure(const TimeWindows& windows);
 
-/// Resolves the options' endpoint set (empty = every node) and validates
-/// ids against the graph.
-std::vector<NodeId> resolve_cdf_endpoints(const TemporalGraph& graph,
-                                          const DelayCdfOptions& options);
-
-/// Whether the options select the incremental accumulation scheme.
-/// Throws std::invalid_argument for kIncremental with the level-sweep
-/// engine (which has no change tracking).
-bool use_incremental_accumulation(const DelayCdfOptions& options);
-
 /// One source's contribution to the all-pairs accumulators: one
 /// accumulator per hop budget plus the past-max_hops residual. Under the
 /// incremental scheme by_hops[k-1] holds only the level-k delta (the
-/// driver prefix-merges once after the fold); under the direct scheme it
-/// holds the source's full hop-k integration.
+/// executor prefix-merges once after the fold); under the direct scheme
+/// it holds the source's full hop-k integration.
 struct SourceCdfPartial {
   std::vector<MeasureCdfAccumulator> by_hops;
   MeasureCdfAccumulator unbounded;
@@ -77,43 +69,80 @@ struct SourceCdfPartial {
   void merge_from(const SourceCdfPartial& other);
 };
 
-/// Reusable per-worker state: the recycled engine workspace (incremental
-/// scheme) and the CDF-side counters. Engine counters are folded in by
-/// take_stats() -- additive counters are order-invariant, so worker
-/// totals merge into the same aggregate regardless of how sources were
-/// distributed.
-struct SourceCdfWorker {
+/// One worker slot's recyclable state: the engine the incremental scheme
+/// recycles across sources and the scratch partial a source fills.
+struct SourceCdfWorkspace {
   std::optional<SingleSourceEngine> engine;
-  EngineStats stats;
-  /// The engine's counters belong to an earlier query (see recycle()).
+  /// The engine's counters belong to an earlier query (unreported).
   bool stale = false;
+  SourceCdfPartial partial;
 
-  /// Readies a worker kept from an earlier query for a new one: its
-  /// counters restart, and the engine's restart on its next use
-  /// (SingleSourceEngine::recycle), so take_stats() reports exactly what
-  /// a freshly built worker would.
+  SourceCdfWorkspace(const std::vector<double>& grid, int max_hops)
+      : partial(grid, max_hops) {}
+
+  /// Readies a workspace kept from an earlier query: the engine's
+  /// counters restart on its next use (SingleSourceEngine::recycle).
   void recycle() noexcept;
 
-  /// The worker's engine bound to `src` at hop 0: built on first use,
-  /// reset afterwards.
+  /// The engine bound to `src` at hop 0: built on first use, reset
+  /// afterwards.
   SingleSourceEngine& engine_for(const TemporalGraph& graph, NodeId src,
                                  EngineMode mode);
-
-  /// Worker counters plus the engine's counters (if it ran this query).
-  EngineStats take_stats() const;
 };
 
-/// Integrates one source into `out` (which must be zeroed/cleared).
-/// `is_endpoint` is a num_nodes-sized membership mask of `endpoints`
+/// Where an executor call's slots get workspaces (unset checkout: build
+/// fresh) and return them when the call ends (unset checkin: drop).
+struct WorkspaceLender {
+  std::function<std::unique_ptr<SourceCdfWorkspace>()> checkout;
+  std::function<void(std::unique_ptr<SourceCdfWorkspace>)> checkin;
+};
+
+/// One worker id's state within one run_source_cdf call (built by the
+/// executor, so a nested call never shares one with its outer job).
+struct SourceCdfSlot {
+  /// This worker's counters (cache hits/misses/evictions, integrated
+  /// pairs); the executor merges them into the result.
+  EngineStats stats;
+  /// Keeps a returned cache entry alive until the executor folded it.
+  std::shared_ptr<const SourceCdfPartial> held;
+
+  /// The worker's workspace with its partial cleared, taken from the
+  /// lender on first use (an all-hit query takes none).
+  SourceCdfWorkspace& workspace();
+
+  const DelayCdfOptions& options;
+  const WorkspaceLender& lender;
+  std::unique_ptr<SourceCdfWorkspace> taken;
+};
+
+/// The per-source hook: source i's partial, either one the caller holds
+/// (a cache hit, a clean live partial) or one it filled in the slot.
+using SourceCdfHook =
+    std::function<const SourceCdfPartial&(std::size_t, SourceCdfSlot&)>;
+
+/// The one all-pairs executor: runs hook(i, slot) for every i in
+/// [0, count) on options.num_threads workers, folds the partials in
+/// ascending i, merges the slots' counters and finalizes.
+DelayCdfResult run_source_cdf(const DelayCdfOptions& options,
+                              std::size_t count, const SourceCdfHook& hook,
+                              const WorkspaceLender& lender = {});
+
+/// Runs fn(i, worker) for every i in [0, count) on `num_threads`
+/// workers (0 = the shared pool), handing indices out dynamically. The
+/// executor's fan-out, also used by the live engine's DP advance.
+void for_each_source(unsigned num_threads, std::size_t count,
+                     const std::function<void(std::size_t, unsigned)>& fn);
+
+/// Integrates one source into the slot's workspace partial and returns
+/// it. `is_endpoint` is a num_nodes-sized membership mask of `endpoints`
 /// (used by the incremental scheme's change filter). The direct scheme
 /// runs a fresh engine per source (reference semantics); the incremental
-/// scheme recycles worker.engine across calls.
-void process_source(const TemporalGraph& graph, NodeId src,
-                    const std::vector<NodeId>& endpoints,
-                    const std::vector<std::uint8_t>& is_endpoint,
-                    const TimeWindows& w, int max_hops, int max_levels,
-                    EngineMode mode, bool incremental,
-                    SourceCdfWorker& worker, SourceCdfPartial& out);
+/// scheme recycles the workspace engine across calls.
+const SourceCdfPartial& process_source(
+    const TemporalGraph& graph, NodeId src,
+    const std::vector<NodeId>& endpoints,
+    const std::vector<std::uint8_t>& is_endpoint, const TimeWindows& w,
+    const DelayCdfOptions& options, SourceCdfSlot& slot);
 
 /// Thread-safe canonical-order folder: submit(i, partial) merges the
 /// partials into one total in ascending index order no matter the
@@ -139,14 +168,5 @@ class OrderedCdfFolder {
   std::size_t next_ = 0;
   std::map<std::size_t, SourceCdfPartial> pending_;
 };
-
-/// Shared finalization of the all-pairs drivers: prefix-merges the
-/// incremental deltas, evaluates the per-hop CDFs, clamps the hop
-/// monotonicity invariant, and fills the result scalars. `total` is
-/// consumed (its accumulators are prefix-merged in place).
-DelayCdfResult finalize_delay_cdf(SourceCdfPartial& total,
-                                  const EngineStats& stats,
-                                  const DelayCdfOptions& options,
-                                  bool incremental);
 
 }  // namespace odtn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 
 namespace odtn {
 
@@ -26,10 +27,15 @@ std::size_t PairArena::grown_capacity(std::size_t cap,
   // warms the slab up.
   constexpr std::size_t kMinCapacity = 256;
   const std::size_t grown = std::max({needed, cap * 2, kMinCapacity});
-  return (grown + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
+  return std::min((grown + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1),
+                  kMaxPairs);
 }
 
 void PairArena::grow(std::size_t needed) {
+  if (needed > kMaxPairs)
+    throw std::length_error("PairArena: allocation exceeds 32-bit spans");
+  if (needed > fresh_cap_) fresh_cap_ = grown_capacity(fresh_cap_, needed);
+  if (needed <= cap_) return;
   // std::vector is no longer usable here: its buffer is only
   // alignof(double)-aligned, while the SIMD kernels need every lane base
   // on a 32-byte boundary.

@@ -66,17 +66,22 @@ class PairArena {
   }
   ~PairArena() { release(); }
 
+  /// Most pairs an arena holds, so spans fit PairSpan's 32-bit fields.
+  static constexpr std::size_t kMaxPairs =
+      std::size_t{UINT32_MAX} & ~(kSpanAlignPairs - 1);
+
   /// Reserves `n` contiguous pairs and returns their offset (always a
   /// multiple of kSpanAlignPairs -- see the alignment contract above).
   /// Amortized O(1); grows geometrically when the slab is exhausted (the
-  /// only code path that touches the heap).
+  /// only code path that touches the heap). Throws std::length_error,
+  /// with the arena unchanged, past kMaxPairs.
   std::size_t allocate(std::size_t n) {
-    size_ = (size_ + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
-    const std::size_t offset = size_;
-    size_ += n;
-    if (size_ > fresh_cap_) fresh_cap_ = grown_capacity(fresh_cap_, size_);
-    if (size_ > cap_) grow(size_);
-    if (size_ > peak_pairs_) peak_pairs_ = size_;
+    const std::size_t offset =
+        (size_ + kSpanAlignPairs - 1) & ~(kSpanAlignPairs - 1);
+    const std::size_t end = offset + n;
+    if (end > cap_ || end > fresh_cap_) grow(end);
+    size_ = end;
+    if (end > peak_pairs_) peak_pairs_ = end;
     return offset;
   }
 
@@ -125,9 +130,11 @@ class PairArena {
 
  private:
   /// The capacity grow() moves to from `cap` when `needed` pairs do not
-  /// fit: geometric, with a floor, rounded to the span alignment.
+  /// fit: geometric, with a floor, rounded to the span alignment and
+  /// clamped to kMaxPairs.
   static std::size_t grown_capacity(std::size_t cap,
                                     std::size_t needed) noexcept;
+  /// Makes room for (and accounts) `needed` pairs; throws past kMaxPairs.
   void grow(std::size_t needed);
   void release() noexcept;
   void move_from(PairArena& other) noexcept;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -97,6 +98,20 @@ TEST(PairArena, PeakTracksPaddedHighWater) {
   EXPECT_EQ(arena.peak_pairs(), 11u);
   arena.reset();
   EXPECT_EQ(arena.peak_pairs(), 11u);
+}
+
+TEST(PairArena, AllocationPastSpanRangeThrowsUnchanged) {
+  // PairSpan stores offsets and lengths in 32 bits; the growth path
+  // refuses rather than letting them wrap, before the bump pointer moves.
+  PairArena arena;
+  arena.allocate(5);
+  const std::size_t size = arena.size();
+  const std::size_t cap = arena.capacity();
+  EXPECT_THROW(arena.allocate(std::size_t{1} << 32), std::length_error);
+  EXPECT_EQ(arena.size(), size);
+  EXPECT_EQ(arena.capacity(), cap);
+  // The arena stays usable.
+  EXPECT_EQ(arena.allocate(3), 8u);
 }
 
 TEST(PairArena, MoveTransfersLanesAndEmptiesSource) {

@@ -54,6 +54,10 @@ TEST(Parse, Numbers) {
   EXPECT_THROW(parse_double("abc", "x"), CliError);
   EXPECT_THROW(parse_long("1.5", "x"), CliError);
   EXPECT_THROW(parse_long("", "x"), CliError);
+  // Overflow is an error, not a clamp to LONG_MAX / LONG_MIN.
+  EXPECT_THROW(parse_long("99999999999999999999", "seed"), CliError);
+  EXPECT_THROW(parse_long("-99999999999999999999", "x"), CliError);
+  EXPECT_EQ(parse_long("9223372036854775807", "x"), 9223372036854775807L);
 }
 
 TEST(Parse, CountsRejectNegatives) {
@@ -61,6 +65,7 @@ TEST(Parse, CountsRejectNegatives) {
   EXPECT_EQ(parse_count("0", "trials"), 0ul);
   EXPECT_THROW(parse_count("-1", "trials"), CliError);
   EXPECT_THROW(parse_count("abc", "trials"), CliError);
+  EXPECT_THROW(parse_count("99999999999999999999", "seed"), CliError);
   try {
     parse_count("-3", "n");
     FAIL() << "expected CliError";
@@ -184,9 +189,14 @@ TEST_F(CliCommands, CdfValidatesMaxHops) {
   EXPECT_EQ(run_cli({"cdf", trace, "--max-hops", "-4"}), 2);
 }
 
-TEST_F(CliCommands, GenerateRejectsNegativeSeed) {
+TEST_F(CliCommands, GenerateRejectsOutOfRangeSeed) {
   EXPECT_EQ(run_cli({"generate", "--preset", "hong-kong", "--seed", "-1",
                      "--out", track(path("neg.trace"))}),
+            2);
+  // An overflowing seed is an error, not LONG_MAX.
+  EXPECT_EQ(run_cli({"generate", "--preset", "infocom05", "--seed",
+                     "99999999999999999999", "--out",
+                     track(path("overflow.trace"))}),
             2);
 }
 
@@ -259,6 +269,11 @@ TEST_F(CliCommands, RouteRejectsBadNodes) {
   const std::string trace = track(path("tiny2.trace"));
   write_trace_file(trace, TemporalGraph(2, {{0, 1, 0.0, 1.0}}));
   EXPECT_EQ(run_cli({"route", trace, "--src", "0", "--dst", "9"}), 2);
+  // Ids past 2^32 must not wrap onto node 0.
+  EXPECT_EQ(run_cli({"route", trace, "--src", "4294967296", "--dst", "1"}),
+            2);
+  EXPECT_EQ(run_cli({"route", trace, "--src", "0", "--dst", "4294967297"}),
+            2);
 }
 
 TEST_F(CliCommands, ImportConvertsCrawdadAndOne) {
@@ -334,7 +349,10 @@ TEST_F(CliServe, ServeIngestAppendsAndRefreshesAnswers) {
     // Before the ingest, node 2 only reaches node 1 (the 0--1 contact is
     // over by the time 2 first meets 1); the appended late 0--2 contact
     // makes node 0 reachable too.
+    // Ids past 2^32 must error, not wrap onto nodes 0 and 2.
     out << "reach 2 0\n"
+        << "ingest 4294967296 1 2000 2600\n"
+        << "ingest 0 4294967298 2000 2600\n"
         << "ingest 0 2 2000 2600\n"
         << "reach 2 0\n"
         << "ingest 0 1 100 200\n";  // below watermark: must error
@@ -346,6 +364,8 @@ TEST_F(CliServe, ServeIngestAppendsAndRefreshesAnswers) {
             0);
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(out.find("reach src=2 t=0 count=1"), std::string::npos);
+  EXPECT_NE(out.find("error u out of range"), std::string::npos);
+  EXPECT_NE(out.find("error v out of range"), std::string::npos);
   EXPECT_NE(out.find("ingest ok epoch=1 contacts=3"), std::string::npos);
   EXPECT_NE(out.find("reach src=2 t=0 count=2"), std::string::npos);
   EXPECT_NE(out.find("error"), std::string::npos);

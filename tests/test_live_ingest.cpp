@@ -200,6 +200,7 @@ DelayCdfOptions cold_options(const IncrementalCdfOptions& io) {
   o.max_levels = io.max_levels;
   o.t_lo = io.t_lo;
   o.t_hi = io.t_hi;
+  o.num_threads = io.num_threads;
   o.accumulation = CdfAccumulation::kDirect;
   return o;
 }
@@ -229,10 +230,15 @@ void check_epoch_splits(const TemporalGraph& full, int epochs,
 
 TEST(IncrementalEngine, BitIdenticalToColdAcrossEpochSplits) {
   const TemporalGraph full = sample_graph(41);
-  for (const int epochs : {1, 3, 7}) {
-    IncrementalCdfOptions io;
-    io.max_hops = 8;
-    check_epoch_splits(full, epochs, io);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const int epochs : {1, 3, 7}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, " << epochs << " epochs");
+      IncrementalCdfOptions io;
+      io.max_hops = 8;
+      io.num_threads = threads;
+      check_epoch_splits(full, epochs, io);
+    }
   }
 }
 

@@ -55,20 +55,24 @@ void expect_bitwise_equal(const DelayCdfResult& a, const DelayCdfResult& b) {
 
 TEST(QueryEngine, ColdAllPairsMatchesComputeDelayCdfBitwise) {
   const TemporalGraph g = workload_graph();
-  const QueryEngineOptions qo = small_options();
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    QueryEngineOptions qo = small_options();
+    qo.num_threads = threads;
 
-  DelayCdfOptions ref;
-  ref.grid = qo.grid;
-  ref.max_hops = qo.max_hops;
-  ref.max_levels = qo.max_levels;
-  ref.num_threads = qo.num_threads;
-  const DelayCdfResult expected = compute_delay_cdf(g, ref);
+    DelayCdfOptions ref;
+    ref.grid = qo.grid;
+    ref.max_hops = qo.max_hops;
+    ref.max_levels = qo.max_levels;
+    ref.num_threads = qo.num_threads;
+    const DelayCdfResult expected = compute_delay_cdf(g, ref);
 
-  QueryEngine engine(g, qo);
-  const DelayCdfResult got = engine.all_pairs();
-  expect_bitwise_equal(expected, got);
-  EXPECT_EQ(got.stats.cache_hits, 0u);
-  EXPECT_EQ(got.stats.cache_misses, g.num_nodes());
+    QueryEngine engine(g, qo);
+    const DelayCdfResult got = engine.all_pairs();
+    expect_bitwise_equal(expected, got);
+    EXPECT_EQ(got.stats.cache_hits, 0u);
+    EXPECT_EQ(got.stats.cache_misses, g.num_nodes());
+  }
 }
 
 TEST(QueryEngine, WarmAllPairsIsBitIdenticalToCold) {

@@ -8,8 +8,9 @@
 # snapshot (framing rejection + round-trip bit-identity) and live
 # (epoch-split / byte-split differentials) --
 # and a final pass of the concurrency suites (thread pool,
-# MC harness, empirical distribution, phase transition) plus the
-# QueryEngine concurrent-batch test (recycled engine workspaces) under
+# MC harness, empirical distribution, phase transition), the
+# QueryEngine concurrent-batch test (recycled engine workspaces) and the
+# all-pairs executor's thread-count and live-engine suites under
 # ThreadSanitizer (the `tsan` preset). Run from the repository root.
 # Exits non-zero on the first failure.
 set -eu
@@ -56,5 +57,11 @@ ctest --preset tsan
 # of and back into one QueryEngine's free list.
 ./build-tsan/tests/test_query_engine \
   --gtest_filter='QueryEngine.ConcurrentBatchWorkspacesMatchFresh'
+# The all-pairs executor (core/source_cdf) at several thread counts: the
+# canonical-order fold, and the live engine's DP advance and dirty-bit
+# partial cache.
+./build-tsan/tests/test_diameter \
+  --gtest_filter='*DelayCdfThreads.*:OrderedCdfFolder.*'
+./build-tsan/tests/test_live_ingest --gtest_filter='IncrementalEngine.*'
 
 echo "== verify OK =="
