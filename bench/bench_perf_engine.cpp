@@ -553,7 +553,7 @@ int micro_insert_vs_merge(std::vector<KernelRecord>& records) {
   const int kRounds = 200, kF = 96, kC = 8;
   const auto rounds = make_micro_rounds(kRounds, kF, kC);
   DeliveryFunction ref;
-  std::vector<PathPair> batch;
+  std::vector<PathPair> batch, sort_scratch;
   std::vector<double> out_ld(kF + kC), out_ea(kF + kC);
   std::vector<double> d_ld(kC), d_ea(kC), d_succ(kC);
 
@@ -568,7 +568,8 @@ int micro_insert_vs_merge(std::vector<KernelRecord>& records) {
     t0 = now_ms();
     for (const MicroRound& mr : rounds) {
       batch = mr.cands;
-      const std::size_t m = prune_candidate_batch(batch.data(), batch.size());
+      const std::size_t m =
+          prune_candidate_batch(batch.data(), batch.size(), sort_scratch);
       merge_frontier(mr.f_ld.data(), mr.f_ea.data(), mr.f_ld.size(),
                      batch.data(), m, out_ld.data(), out_ea.data(),
                      d_ld.data(), d_ea.data(), d_succ.data());
@@ -585,7 +586,8 @@ int micro_insert_vs_merge(std::vector<KernelRecord>& records) {
     ref = mr.frontier;
     for (const PathPair& p : mr.cands) ref.insert(p);
     batch = mr.cands;
-    const std::size_t m = prune_candidate_batch(batch.data(), batch.size());
+    const std::size_t m =
+        prune_candidate_batch(batch.data(), batch.size(), sort_scratch);
     const FrontierMerge r = merge_frontier(
         mr.f_ld.data(), mr.f_ea.data(), mr.f_ld.size(), batch.data(), m,
         out_ld.data(), out_ea.data(), d_ld.data(), d_ea.data(),

@@ -27,22 +27,29 @@
 
 namespace odtn {
 
-/// First index in ld[0, n) whose value is >= x (ld ascending). Defined
-/// inline: this is the per-candidate probe of the engine's offer-time
-/// dominance filter, the single hottest call of the extension phase.
+/// First index in ld[0, n) whose value is >= x (ld ascending); the same
+/// index std::lower_bound returns. Defined inline: this is the probe of
+/// the engine's offer-time dominance filter, the single hottest call of
+/// the extension phase, and also the run-boundary search of the
+/// dispatched merge_frontier and FrontierView::deliver_at.
+///
+/// Branch-free: each halving step is a conditional move, not a jump.
+/// The engine's probes land anywhere inside frontiers of a few hundred
+/// pairs and come out dominated or not about as often as a coin flip, so
+/// a branchy search mispredicts on most steps; this loop runs a fixed
+/// ceil(log2 n) steps with no data-dependent branch (GCC emits cmov).
 inline std::size_t frontier_lower_bound(const double* ld, std::size_t n,
                                         double x) noexcept {
-  std::size_t lo = 0;
-  while (n > 0) {
+  if (n == 0) return 0;
+  const double* base = ld;
+  // Invariant: the answer lies in [base, base + n], and base[0] < x
+  // whenever base has moved.
+  while (n > 1) {
     const std::size_t half = n / 2;
-    if (ld[lo + half] < x) {
-      lo += half + 1;
-      n -= half + 1;
-    } else {
-      n = half;
-    }
+    base = (base[half] < x) ? base + half : base;
+    n -= half;
   }
-  return lo;
+  return static_cast<std::size_t>(base - ld) + (*base < x);
 }
 
 /// True iff some pair of the frontier (SoA, both lanes ascending)
@@ -66,15 +73,19 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
 /// Sorts `batch[0, m)` in place and collapses it to its Pareto front
 /// (strictly increasing ld AND ea; at equal ld only the minimal ea
 /// survives). Returns the pruned length; the survivors occupy the
-/// prefix of `batch`. Dispatched: the dominance-pop scan runs through
-/// the active util/simd level; results are bit-identical to the scalar
-/// reference at every level.
-std::size_t prune_candidate_batch(PathPair* batch, std::size_t m);
+/// prefix of `batch`. Batches of more than 24 candidates are merge-sorted
+/// through `scratch`, which is grown to m pairs if shorter; pass the same
+/// vector to every call to keep it allocation-free. Dispatched: the
+/// dominance-pop scan runs through the active util/simd level; results
+/// are bit-identical to the scalar reference at every level.
+std::size_t prune_candidate_batch(PathPair* batch, std::size_t m,
+                                  std::vector<PathPair>& scratch);
 
-/// The scalar reference for prune_candidate_batch (the pre-dispatch code
-/// kept verbatim). Exposed for the parity suite, the fuzzer's
-/// differential mode, and the per-kernel micro benches.
-std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m);
+/// The scalar reference for prune_candidate_batch (the pre-dispatch
+/// collapse kept verbatim, the same sort). Exposed for the parity suite,
+/// the fuzzer's differential mode, and the per-kernel micro benches.
+std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m,
+                                         std::vector<PathPair>& scratch);
 
 /// The collapse half of prune_candidate_batch: `batch[0, m)` must
 /// already be sorted by (ld, ea); collapses it to its Pareto front in

@@ -317,7 +317,7 @@ bool SingleSourceEngine::step_pooled() {
       // so the batch is pruned in place (survivors end up in the group's
       // prefix; the tail becomes garbage, which is fine).
       PathPair* const batch = grp_pairs_.data() + grp_begin_[idx];
-      const std::size_t m = prune_candidate_batch(batch, m0);
+      const std::size_t m = prune_candidate_batch(batch, m0, sort_scratch_);
       const PairSpan fs = fspan_[v];
       // Worst-case output sizes; the unused prefixes below the merged
       // results stay behind as arena slack until the next reset.

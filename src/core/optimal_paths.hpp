@@ -63,8 +63,11 @@ enum class EngineMode {
 /// Instrumentation counters of one engine run (or an aggregate over
 /// runs). All counts are exact, not sampled.
 struct EngineStats {
-  /// Contact-direction extensions attempted (one per usable (frontier,
-  /// contact, direction) triple examined).
+  /// Contacts examined by the extension phase. kPooled: every by-end
+  /// contact of an active node at or after its delta's earliest arrival,
+  /// whether or not it offers a candidate -- most lie in a gap that
+  /// wait-candidate suppression closes and offer nothing. kLevelSweep:
+  /// one per contact direction per level.
   std::uint64_t contacts_examined = 0;
   /// Candidate pairs kept by the frontier maintenance (insert or merge).
   std::uint64_t pairs_inserted = 0;
@@ -307,6 +310,7 @@ class SingleSourceEngine {
   std::vector<std::uint32_t> grp_begin_;
   std::vector<std::uint32_t> grp_pos_;
   std::vector<PathPair> grp_pairs_;
+  std::vector<PathPair> sort_scratch_;  // prune_candidate_batch's merge buffer
   /// Per-node copy of the frontier's LAST pair ({-inf, +inf} while
   /// empty): the offer-time dominance probe resolves its two common
   /// outcomes from this one dense array without touching the (much

@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-0: Release build + quick smoke (ctest -L quick) =="
 cmake --preset release
-cmake --build --preset release -j
+cmake --build --preset release -j "$(nproc)"
 ctest --preset quick
 
 echo "== tier-1: full ctest =="
@@ -27,7 +27,7 @@ ctest --preset release
 
 echo "== tier-2: ASan+UBSan build + ctest =="
 cmake --preset sanitize
-cmake --build --preset sanitize -j
+cmake --build --preset sanitize -j "$(nproc)"
 ctest --preset sanitize
 
 echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan =="
@@ -51,7 +51,7 @@ ODTN_SIMD=scalar ./build-sanitize/tools/odtn_fuzz --kernel 300 --seed 1
 
 echo "== tier-3: TSan build + concurrency suites =="
 cmake --preset tsan
-cmake --build --preset tsan -j
+cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan
 # A serve-style batch: concurrent queries checking engine workspaces out
 # of and back into one QueryEngine's free list.
