@@ -29,16 +29,11 @@
 //              per worker (EngineStats counters). Also emits
 //              machine-readable bench_out/BENCH_pr3.json.
 //   kernels -- the pooled-arena engine (EngineMode::kPooled) vs the
-//              level-sweep reference, plus the runtime-dispatched SIMD
-//              kernel micros.
+//              level-sweep reference.
 //              Microbenchmarks isolate the rewritten kernels
 //              (per-candidate insert() vs prune + two-way merge into
 //              fresh arena space; per-pair CDF integration vs SoA
-//              streaming, gated >= 1.0x) and the dispatched variants
-//              against their scalar references (micro_prune on
-//              presorted sawtooth batches and micro_merge on a large
-//              frontier, both gated >= 1.2x when a vector level is
-//              active; micro_difftrim ungated), then the end-to-end
+//              streaming, gated >= 1.0x), then the end-to-end
 //              gate runs single-thread all-pairs compute_delay_cdf
 //              (pooled+incremental vs level_sweep+direct) on the
 //              conference K=32 and campus workloads with day-time
@@ -49,8 +44,8 @@
 //              diameters, CDFs within 1e-9, and zero arena growth
 //              after the warm pass (workspace_allocations == 1,
 //              arena_bytes_peak flat across sources). Emits
-//              bench_out/BENCH_pr6.json with the active SIMD level
-//              (BENCH_pr5.json stays as the PR 5 historical record).
+//              bench_out/BENCH_pr6.json (BENCH_pr5.json stays as a
+//              historical record).
 //
 // Exit status is non-zero when a CDF equivalence / diameter / allocation
 // check fails (so CI catches semantic regressions); speedup shortfalls
@@ -75,7 +70,6 @@
 #include "trace/generators.hpp"
 #include "trace/transforms.hpp"
 #include "util/csv.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time_format.hpp"
 
@@ -672,283 +666,18 @@ int micro_integrate(std::vector<KernelRecord>& records) {
   const bool identical = aos.cdf() == soa.cdf();
   const double speedup = aos_ms / std::max(soa_ms, 1e-9);
   std::printf("  integrate:       per-pair %7.2f ms, SoA stream %7.2f ms "
-              "(%.2fx), F=%d x%d rounds, simd %s\n",
-              aos_ms, soa_ms, speedup, kF, kRounds,
-              simd::level_name(simd::active_level()));
+              "(%.2fx), F=%d x%d rounds\n",
+              aos_ms, soa_ms, speedup, kF, kRounds);
   EngineStats st{};
   st.cdf_pairs_integrated =
       static_cast<std::uint64_t>(kF) * static_cast<std::uint64_t>(kRounds);
   st.pairs_peak = static_cast<std::uint64_t>(kF);
-  // The PR 5 regression this PR recovers: the SoA stream must now be at
-  // least as fast as the per-pair path (its batched grid searches go
-  // through the dispatched lower_bound4).
+  // The SoA stream must be at least as fast as the per-pair path (both
+  // run the same add_segment; the stream skips the AoS indirection).
   records.push_back({"micro_integrate", "synthetic_frontier", aos_ms, soa_ms,
                      speedup, 1.0, identical, st});
   check(speedup >= 1.0, "SoA integration >= 1.0x vs per-pair path");
   return check(identical, "SoA integration bit-identical to per-pair path")
-             ? 0
-             : 1;
-}
-
-/// Microbenchmark 3: batch dominance collapse, dispatched vs the scalar
-/// reference, on PRESORTED sawtooth batches. The sort half of
-/// prune_candidate_batch is shared verbatim by both arms and dominates
-/// ~7/8 of the full prune's cost, so the full kernel is NOT the bench
-/// seam -- collapse_sorted_batch is. The sawtooth makes every tooth end
-/// in one long dominance pop, the regime the vectorized tail scan is
-/// built for (the engine hits it whenever a late low-EA path retires a
-/// whole ridge of candidates at once).
-int micro_prune(std::vector<KernelRecord>& records) {
-  const int kBatches = 64, kTeeth = 12, kTooth = 32;
-  const int kM = kTeeth * kTooth;
-  std::vector<std::vector<PathPair>> batches(
-      static_cast<std::size_t>(kBatches));
-  for (int b = 0; b < kBatches; ++b) {
-    Rng rng = Rng::keyed(0x9f0e, static_cast<std::uint64_t>(b));
-    auto& batch = batches[static_cast<std::size_t>(b)];
-    batch.reserve(static_cast<std::size_t>(kM));
-    double ld = 0.0;
-    double base_ea = 1e4;
-    for (int t = 0; t < kTeeth; ++t) {
-      // Each tooth starts below ALL of the previous tooth: its first
-      // element pops the whole stacked tooth in one run.
-      base_ea -= 1000.0;
-      double ea = base_ea;
-      for (int i = 0; i < kTooth; ++i) {
-        ld += rng.uniform(0.01, 1.0);
-        ea += rng.uniform(0.01, 1.0);
-        batch.push_back({ld, ea});
-      }
-    }
-  }
-  // The collapse is destructive, so each timed pass runs on a working
-  // copy refilled OUTSIDE the timed region -- the restore memcpy is not
-  // part of either kernel.
-  const std::size_t bytes = sizeof(PathPair) * static_cast<std::size_t>(kM);
-  std::vector<PathPair> work(static_cast<std::size_t>(kBatches * kM));
-  auto refill = [&] {
-    for (int b = 0; b < kBatches; ++b)
-      std::memcpy(work.data() + static_cast<std::size_t>(b) * kM,
-                  batches[static_cast<std::size_t>(b)].data(), bytes);
-  };
-
-  const int kInner = 10;
-  double scalar_ms = 0.0, simd_ms = 0.0;
-  for (int rep = 0; rep < 20; ++rep) {
-    double acc = 0.0;
-    for (int it = 0; it < kInner; ++it) {
-      refill();
-      const double t0 = now_ms();
-      for (int b = 0; b < kBatches; ++b)
-        collapse_sorted_batch_scalar(
-            work.data() + static_cast<std::size_t>(b) * kM,
-            static_cast<std::size_t>(kM));
-      acc += now_ms() - t0;
-    }
-    scalar_ms = rep == 0 ? acc : std::min(scalar_ms, acc);
-    acc = 0.0;
-    for (int it = 0; it < kInner; ++it) {
-      refill();
-      const double t0 = now_ms();
-      for (int b = 0; b < kBatches; ++b)
-        collapse_sorted_batch(work.data() + static_cast<std::size_t>(b) * kM,
-                              static_cast<std::size_t>(kM));
-      acc += now_ms() - t0;
-    }
-    simd_ms = rep == 0 ? acc : std::min(simd_ms, acc);
-  }
-
-  // Semantics + real counters: dispatched output bit-identical to the
-  // scalar reference on every batch.
-  bool identical = true;
-  EngineStats st{};
-  std::vector<PathPair> scratch(static_cast<std::size_t>(kM));
-  std::vector<PathPair> scratch2(static_cast<std::size_t>(kM));
-  for (const auto& b : batches) {
-    std::memcpy(scratch.data(), b.data(), bytes);
-    std::memcpy(scratch2.data(), b.data(), bytes);
-    const std::size_t ns =
-        collapse_sorted_batch_scalar(scratch.data(), scratch.size());
-    const std::size_t nv = collapse_sorted_batch(scratch2.data(),
-                                                 scratch2.size());
-    identical = identical && ns == nv &&
-                std::memcmp(scratch.data(), scratch2.data(),
-                            ns * sizeof(PathPair)) == 0;
-    st.merge_batches += 1;
-    st.pairs_inserted += ns;
-    st.pairs_dominated += static_cast<std::uint64_t>(kM) - ns;
-    st.pairs_peak = std::max<std::uint64_t>(st.pairs_peak,
-                                            static_cast<std::uint64_t>(kM));
-  }
-
-  const bool vec = simd::active_level() != simd::Level::kScalar;
-  const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
-  std::printf("  prune collapse:  scalar %7.2f ms, %s %7.2f ms (%.2fx), "
-              "m=%d x%d batches, sawtooth\n",
-              scalar_ms, simd::level_name(simd::active_level()), simd_ms,
-              speedup, kM, kBatches);
-  records.push_back({"micro_prune", "sawtooth_batches", scalar_ms, simd_ms,
-                     speedup, vec ? 1.2 : 0.0, identical, st});
-  if (vec)
-    check(speedup >= 1.2, "dispatched collapse >= 1.2x vs scalar reference");
-  return check(identical,
-               "dispatched collapse bit-identical to scalar reference")
-             ? 0
-             : 1;
-}
-
-/// Microbenchmark 4: merge_frontier, dispatched run-structured walk vs
-/// the scalar element walk, on a large resident frontier with a small
-/// candidate batch spread evenly through it -- long all-survivor runs,
-/// where the dispatched path's bulk copies replace the scalar per-
-/// element compare-and-store loop.
-int micro_merge(std::vector<KernelRecord>& records) {
-  const int kF = 512, kC = 16, kRounds = 400;
-  Rng rng = Rng::keyed(0x3e46e, 0);
-  std::vector<double> f_ld, f_ea;
-  double ld = 0.0, ea = -2000.0;
-  for (int i = 0; i < kF; ++i) {
-    ld += rng.uniform(0.5, 4.0);
-    ea += rng.uniform(0.5, 4.0);
-    f_ld.push_back(ld);
-    f_ea.push_back(ea);
-  }
-  // Candidates strictly interleaved between frontier neighbors in BOTH
-  // lanes: every candidate is kept, nothing is dominated, and the merge
-  // becomes kC long survivor runs of ~kF/kC elements each.
-  std::vector<PathPair> cands;
-  const int stride = kF / kC;
-  for (int c = 0; c < kC; ++c) {
-    const std::size_t i = static_cast<std::size_t>(c * stride + stride / 2);
-    cands.push_back({0.5 * (f_ld[i] + f_ld[i + 1]),
-                     0.5 * (f_ea[i] + f_ea[i + 1])});
-  }
-
-  std::vector<double> out_ld(kF + kC), out_ea(kF + kC);
-  std::vector<double> d_ld(kC), d_ea(kC), d_succ(kC);
-  double scalar_ms = 0.0, simd_ms = 0.0;
-  for (int rep = 0; rep < 40; ++rep) {
-    double t0 = now_ms();
-    for (int r = 0; r < kRounds; ++r)
-      merge_frontier_scalar(f_ld.data(), f_ea.data(), f_ld.size(),
-                            cands.data(), cands.size(), out_ld.data(),
-                            out_ea.data(), d_ld.data(), d_ea.data(),
-                            d_succ.data());
-    scalar_ms =
-        rep == 0 ? now_ms() - t0 : std::min(scalar_ms, now_ms() - t0);
-    t0 = now_ms();
-    for (int r = 0; r < kRounds; ++r)
-      merge_frontier(f_ld.data(), f_ea.data(), f_ld.size(), cands.data(),
-                     cands.size(), out_ld.data(), out_ea.data(), d_ld.data(),
-                     d_ea.data(), d_succ.data());
-    simd_ms = rep == 0 ? now_ms() - t0 : std::min(simd_ms, now_ms() - t0);
-  }
-
-  // Semantics: dispatched output bit-identical to the scalar walk.
-  std::vector<double> s_out_ld(kF + kC), s_out_ea(kF + kC);
-  std::vector<double> s_d_ld(kC), s_d_ea(kC), s_d_succ(kC);
-  const FrontierMerge rs = merge_frontier_scalar(
-      f_ld.data(), f_ea.data(), f_ld.size(), cands.data(), cands.size(),
-      s_out_ld.data(), s_out_ea.data(), s_d_ld.data(), s_d_ea.data(),
-      s_d_succ.data());
-  const FrontierMerge rv = merge_frontier(
-      f_ld.data(), f_ea.data(), f_ld.size(), cands.data(), cands.size(),
-      out_ld.data(), out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
-  const std::size_t off = f_ld.size() + cands.size() - rs.kept;
-  const std::size_t doff = cands.size() - rs.kept_new;
-  const bool identical =
-      rs.kept == rv.kept && rs.kept_new == rv.kept_new &&
-      std::memcmp(out_ld.data() + off, s_out_ld.data() + off,
-                  rs.kept * sizeof(double)) == 0 &&
-      std::memcmp(out_ea.data() + off, s_out_ea.data() + off,
-                  rs.kept * sizeof(double)) == 0 &&
-      std::memcmp(d_succ.data() + doff, s_d_succ.data() + doff,
-                  rs.kept_new * sizeof(double)) == 0;
-  EngineStats st{};
-  st.merge_batches = kRounds;
-  st.pairs_inserted = static_cast<std::uint64_t>(kRounds) * rs.kept_new;
-  st.pairs_dominated = static_cast<std::uint64_t>(kRounds) *
-                       (f_ld.size() + cands.size() - rs.kept);
-  st.pairs_peak = static_cast<std::uint64_t>(kF + kC);
-
-  const bool vec = simd::active_level() != simd::Level::kScalar;
-  const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
-  std::printf("  merge runs:      scalar %7.2f ms, %s %7.2f ms (%.2fx), "
-              "F=%d C=%d x%d rounds\n",
-              scalar_ms, simd::level_name(simd::active_level()), simd_ms,
-              speedup, kF, kC, kRounds);
-  records.push_back({"micro_merge", "interleaved_frontier", scalar_ms,
-                     simd_ms, speedup, vec ? 1.2 : 0.0, identical, st});
-  if (vec)
-    check(speedup >= 1.2, "dispatched merge >= 1.2x vs scalar reference");
-  return check(identical, "dispatched merge bit-identical to scalar walk")
-             ? 0
-             : 1;
-}
-
-/// Microbenchmark 5 (ungated): the diff-trim prefix/suffix scan of the
-/// hop-incremental CDF path -- two long nearly-equal frontier snapshots
-/// differing in a narrow middle window, the shape successive hop levels
-/// actually produce.
-int micro_difftrim(std::vector<KernelRecord>& records) {
-  const int kN = 4096, kRounds = 600;
-  Rng rng = Rng::keyed(0xd1ff, 0);
-  std::vector<double> o_ld, o_ea;
-  double ld = 0.0, ea = -5000.0;
-  for (int i = 0; i < kN; ++i) {
-    ld += rng.uniform(0.1, 2.0);
-    ea += rng.uniform(0.1, 2.0);
-    o_ld.push_back(ld);
-    o_ea.push_back(ea);
-  }
-  std::vector<double> n_ld = o_ld, n_ea = o_ea;
-  for (int i = kN / 2; i < kN / 2 + 24; ++i)
-    n_ea[static_cast<std::size_t>(i)] += 0.5;  // the changed window
-
-  const simd::Ops& vops = simd::ops();
-  const simd::Ops& sops = simd::ops_for(simd::Level::kScalar);
-  const std::size_t n = o_ld.size();
-  volatile std::size_t sink = 0;
-  double scalar_ms = 0.0, simd_ms = 0.0;
-  for (int rep = 0; rep < 40; ++rep) {
-    double t0 = now_ms();
-    for (int r = 0; r < kRounds; ++r) {
-      const std::size_t p = sops.equal_prefix2(o_ld.data(), o_ea.data(),
-                                               n_ld.data(), n_ea.data(), n);
-      sink += p + sops.equal_suffix2(o_ld.data(), o_ea.data(), n,
-                                     n_ld.data(), n_ea.data(), n, n - p);
-    }
-    scalar_ms =
-        rep == 0 ? now_ms() - t0 : std::min(scalar_ms, now_ms() - t0);
-    t0 = now_ms();
-    for (int r = 0; r < kRounds; ++r) {
-      const std::size_t p = vops.equal_prefix2(o_ld.data(), o_ea.data(),
-                                               n_ld.data(), n_ea.data(), n);
-      sink += p + vops.equal_suffix2(o_ld.data(), o_ea.data(), n,
-                                     n_ld.data(), n_ea.data(), n, n - p);
-    }
-    simd_ms = rep == 0 ? now_ms() - t0 : std::min(simd_ms, now_ms() - t0);
-  }
-  const bool identical =
-      vops.equal_prefix2(o_ld.data(), o_ea.data(), n_ld.data(), n_ea.data(),
-                         n) == sops.equal_prefix2(o_ld.data(), o_ea.data(),
-                                                  n_ld.data(), n_ea.data(),
-                                                  n) &&
-      vops.equal_suffix2(o_ld.data(), o_ea.data(), n, n_ld.data(),
-                         n_ea.data(), n, n) ==
-          sops.equal_suffix2(o_ld.data(), o_ea.data(), n, n_ld.data(),
-                             n_ea.data(), n, n);
-  EngineStats st{};
-  st.frontier_copies_avoided = static_cast<std::uint64_t>(kRounds);
-  st.pairs_peak = static_cast<std::uint64_t>(kN);
-  const double speedup = scalar_ms / std::max(simd_ms, 1e-9);
-  std::printf("  diff trim:       scalar %7.2f ms, %s %7.2f ms (%.2fx), "
-              "n=%d x%d rounds\n",
-              scalar_ms, simd::level_name(simd::active_level()), simd_ms,
-              speedup, kN, kRounds);
-  records.push_back({"micro_difftrim", "near_equal_snapshots", scalar_ms,
-                     simd_ms, speedup, 0.0, identical, st});
-  return check(identical, "dispatched trim scans match scalar reference")
              ? 0
              : 1;
 }
@@ -999,9 +728,6 @@ int section_kernels(CsvWriter& csv, std::vector<KernelRecord>& records) {
   int failures = 0;
   failures += micro_insert_vs_merge(records);
   failures += micro_integrate(records);
-  failures += micro_prune(records);
-  failures += micro_merge(records);
-  failures += micro_difftrim(records);
 
   // BENCH_SECTIONS=kernels_micro: per-kernel micros only, skipping the
   // heavy propagation / end-to-end workloads (fast gate iteration).
@@ -1167,11 +893,8 @@ void write_bench_json_pr6(const std::vector<KernelRecord>& records) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"bench_perf_engine\",\n  \"pr\": 6,\n"
-               "  \"metric\": \"runtime-dispatched SIMD frontier kernels\",\n"
-               "  \"simd\": \"%s\",\n  \"simd_best_supported\": \"%s\",\n"
-               "  \"records\": [\n",
-               simd::level_name(simd::active_level()),
-               simd::level_name(simd::best_supported()));
+               "  \"metric\": \"pooled frontier kernels\",\n"
+               "  \"records\": [\n");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];
     std::fprintf(f,

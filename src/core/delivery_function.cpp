@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/frontier_kernels.hpp"
+#include "util/lower_bound.hpp"
 
 namespace odtn {
 namespace {
@@ -23,7 +23,7 @@ double FrontierView::deliver_at(double t) const noexcept {
     if (i == n_) return kInf;
     return std::max(t, aos_[i].ea);
   }
-  const std::size_t i = frontier_lower_bound(ld_, n_, t);
+  const std::size_t i = branchless_lower_bound(ld_, n_, t);
   if (i == n_) return kInf;
   return std::max(t, ea_[i]);
 }

@@ -24,33 +24,9 @@
 #include <vector>
 
 #include "core/path_pair.hpp"
+#include "util/lower_bound.hpp"
 
 namespace odtn {
-
-/// First index in ld[0, n) whose value is >= x (ld ascending); the same
-/// index std::lower_bound returns. Defined inline: this is the probe of
-/// the engine's offer-time dominance filter, the single hottest call of
-/// the extension phase, and also the run-boundary search of the
-/// dispatched merge_frontier and FrontierView::deliver_at.
-///
-/// Branch-free: each halving step is a conditional move, not a jump.
-/// The engine's probes land anywhere inside frontiers of a few hundred
-/// pairs and come out dominated or not about as often as a coin flip, so
-/// a branchy search mispredicts on most steps; this loop runs a fixed
-/// ceil(log2 n) steps with no data-dependent branch (GCC emits cmov).
-inline std::size_t frontier_lower_bound(const double* ld, std::size_t n,
-                                        double x) noexcept {
-  if (n == 0) return 0;
-  const double* base = ld;
-  // Invariant: the answer lies in [base, base + n], and base[0] < x
-  // whenever base has moved.
-  while (n > 1) {
-    const std::size_t half = n / 2;
-    base = (base[half] < x) ? base + half : base;
-    n -= half;
-  }
-  return static_cast<std::size_t>(base - ld) + (*base < x);
-}
 
 /// True iff some pair of the frontier (SoA, both lanes ascending)
 /// dominates (ld, ea): departs no earlier AND arrives no later.
@@ -66,7 +42,7 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
   if (f_ea[n - 1] <= ea) return true;
   // Among pairs with ld' >= ld the first one has the smallest ea (ea
   // ascends with ld), so it is the only candidate to check.
-  const std::size_t i = frontier_lower_bound(f_ld, n, ld);
+  const std::size_t i = branchless_lower_bound(f_ld, n, ld);
   return i < n && f_ea[i] <= ea;
 }
 
@@ -75,25 +51,9 @@ inline bool frontier_dominates(const double* f_ld, const double* f_ea,
 /// survives). Returns the pruned length; the survivors occupy the
 /// prefix of `batch`. Batches of more than 24 candidates are merge-sorted
 /// through `scratch`, which is grown to m pairs if shorter; pass the same
-/// vector to every call to keep it allocation-free. Dispatched: the
-/// dominance-pop scan runs through the active util/simd level; results
-/// are bit-identical to the scalar reference at every level.
+/// vector to every call to keep it allocation-free.
 std::size_t prune_candidate_batch(PathPair* batch, std::size_t m,
                                   std::vector<PathPair>& scratch);
-
-/// The scalar reference for prune_candidate_batch (the pre-dispatch
-/// collapse kept verbatim, the same sort). Exposed for the parity suite,
-/// the fuzzer's differential mode, and the per-kernel micro benches.
-std::size_t prune_candidate_batch_scalar(PathPair* batch, std::size_t m,
-                                         std::vector<PathPair>& scratch);
-
-/// The collapse half of prune_candidate_batch: `batch[0, m)` must
-/// already be sorted by (ld, ea); collapses it to its Pareto front in
-/// place and returns the pruned length. Dispatched / scalar reference
-/// pair, split out so the dominance tests can be benched without the
-/// sort dominating the measurement.
-std::size_t collapse_sorted_batch(PathPair* batch, std::size_t m);
-std::size_t collapse_sorted_batch_scalar(PathPair* batch, std::size_t m);
 
 /// Outcome of one merge_frontier call.
 struct FrontierMerge {
@@ -123,24 +83,10 @@ struct FrontierMerge {
 /// the EA of the pair's successor in the merged frontier (+infinity for
 /// the last pair) -- exactly the value the engine's wait-candidate
 /// suppression needs. Output regions must not alias the inputs.
-/// Dispatched: when a SIMD level is active the walk is restructured into
-/// per-candidate runs (binary search for the run boundary, a vector
-/// dominance-pop count, one bulk copy of the survivors) -- bit-identical
-/// output to the scalar walk, gated by the parity suite and the fuzzer.
 FrontierMerge merge_frontier(const double* f_ld, const double* f_ea,
                              std::size_t fn, const PathPair* cand,
                              std::size_t m, double* out_ld, double* out_ea,
                              double* delta_ld, double* delta_ea,
                              double* delta_succ) noexcept;
-
-/// The scalar reference for merge_frontier (the pre-dispatch descending
-/// element walk kept verbatim). Exposed for the parity suite, the
-/// fuzzer, and the per-kernel micro benches.
-FrontierMerge merge_frontier_scalar(const double* f_ld, const double* f_ea,
-                                    std::size_t fn, const PathPair* cand,
-                                    std::size_t m, double* out_ld,
-                                    double* out_ea, double* delta_ld,
-                                    double* delta_ea,
-                                    double* delta_succ) noexcept;
 
 }  // namespace odtn

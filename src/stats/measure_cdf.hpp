@@ -15,12 +15,13 @@
 // affine function (b - arrival) + x.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <limits>
 #include <utility>
 #include <vector>
+
+#include "util/lower_bound.hpp"
 
 namespace odtn {
 
@@ -51,13 +52,22 @@ class MeasureCdfAccumulator {
     //   = 0                       when x <  arrival - b   (no coverage)
     //   = (b - arrival) + x       when arrival - b <= x < arrival - a
     //   = b - a                   when x >= arrival - a   (full coverage).
-    const auto lo = static_cast<std::size_t>(
-        std::lower_bound(grid_.begin(), grid_.end(), arrival - b) -
-        grid_.begin());
-    const auto hi = static_cast<std::size_t>(
-        std::lower_bound(grid_.begin(), grid_.end(), arrival - a) -
-        grid_.begin());
-    add_segment_at(a, b, arrival, weight, lo, hi);
+    const std::size_t lo =
+        branchless_lower_bound(grid_.data(), grid_.size(), arrival - b);
+    const std::size_t hi =
+        branchless_lower_bound(grid_.data(), grid_.size(), arrival - a);
+    // Partial coverage on [lo, hi): affine in x.
+    if (lo < hi) {
+      const_diff_[lo] += (b - arrival) * weight;
+      const_diff_[hi] -= (b - arrival) * weight;
+      slope_diff_[lo] += weight;
+      slope_diff_[hi] -= weight;
+    }
+    // Full coverage on [hi, end).
+    if (hi < grid_.size()) {
+      const_diff_[hi] += (b - a) * weight;
+      const_diff_[grid_.size()] -= (b - a) * weight;
+    }
   }
 
   /// Batched form of accumulate_delay_measure for structure-of-arrays
@@ -130,29 +140,6 @@ class MeasureCdfAccumulator {
   std::vector<double> cdf() const;
 
  private:
-  /// The diff-array update half of add_segment: `lo`/`hi` must be the
-  /// std::lower_bound indices of the keys (arrival - b) and (arrival - a)
-  /// and the segment must be non-empty (a < b). Split out so the batched
-  /// SoA path can feed it indices computed four-at-a-time by the
-  /// dispatched simd::Ops::lower_bound4 -- the updates themselves run in
-  /// the exact per-segment order of the scalar path, keeping the
-  /// accumulator state bit-identical.
-  void add_segment_at(double a, double b, double arrival, double weight,
-                      std::size_t lo, std::size_t hi) {
-    // Partial coverage on [lo, hi): affine in x.
-    if (lo < hi) {
-      const_diff_[lo] += (b - arrival) * weight;
-      const_diff_[hi] -= (b - arrival) * weight;
-      slope_diff_[lo] += weight;
-      slope_diff_[hi] -= weight;
-    }
-    // Full coverage on [hi, end).
-    if (hi < grid_.size()) {
-      const_diff_[hi] += (b - a) * weight;
-      const_diff_[grid_.size()] -= (b - a) * weight;
-    }
-  }
-
   std::vector<double> grid_;
   // Contribution at grid index j is: prefix(const_diff_)[j]
   //                                  + prefix(slope_diff_)[j] * grid_[j].

@@ -37,8 +37,8 @@ void PairArena::grow(std::size_t needed) {
   if (needed > fresh_cap_) fresh_cap_ = grown_capacity(fresh_cap_, needed);
   if (needed <= cap_) return;
   // std::vector is no longer usable here: its buffer is only
-  // alignof(double)-aligned, while the SIMD kernels need every lane base
-  // on a 32-byte boundary.
+  // alignof(double)-aligned, while the layout contract puts every lane
+  // base on a 32-byte boundary.
   const std::size_t cap = grown_capacity(cap_, needed);
   const auto regrow = [&](double*& lane) {
     double* next = alloc_lane(cap);

@@ -14,12 +14,13 @@
 //
 // Alignment contract: every lane base is 32-byte aligned and allocate()
 // rounds the bump pointer up to a multiple of 4 doubles, so ld()+offset
-// and ea()+offset of EVERY span start on a 32-byte boundary. The SIMD
-// frontier kernels (util/simd.hpp) rely on this to process spans in
-// whole 4-lane blocks; the padding pairs between spans are never
-// addressed. truncate()/reset() only move the bump pointer backward to
-// previously returned (hence aligned) offsets, so the guarantee survives
-// recycle cycles -- gated by tests/test_arena.cpp.
+// and ea()+offset of EVERY span start on a 32-byte boundary; the padding
+// pairs between spans are never addressed. No kernel needs the alignment
+// any more, but the rounding fixes the arena layout and with it the
+// pairs_peak / arena_bytes_peak counters the stats report, so it stays.
+// truncate()/reset() only move the bump pointer backward to previously
+// returned (hence aligned) offsets, so the guarantee survives recycle
+// cycles -- gated by tests/test_arena.cpp.
 //
 // Growth moves the arrays, so raw pointers obtained via ld()/ea()/aux()
 // are invalidated by allocate(); spans (offsets) stay valid forever.

@@ -1,8 +1,8 @@
 // PairArena alignment and recycling contract (util/arena.hpp): every
-// span start must land on a 32-byte boundary in every lane -- the SIMD
-// frontier kernels consume spans in whole 4-double blocks -- and the
-// guarantee must survive growth, truncate() rollbacks, reset() recycling
-// and moves.
+// span start must land on a 32-byte boundary in every lane -- the
+// rounding fixes the arena layout that the pairs_peak / arena_bytes_peak
+// counters report -- and the guarantee must survive growth, truncate()
+// rollbacks, reset() recycling and moves.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -20,8 +20,8 @@
 #include "core/optimal_paths.hpp"
 #include "stats/log_grid.hpp"
 #include "stats/measure_cdf.hpp"
+#include "util/lower_bound.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace odtn {
 namespace {
@@ -124,7 +124,7 @@ TEST(FrontierKernels, LowerBoundAndDominatesMatchDeliveryFunction) {
           << "trial=" << trial << " size=" << f.size() << " ld=" << p.ld
           << " ea=" << p.ea;
       const std::size_t at =
-          frontier_lower_bound(ld.data(), ld.size(), p.ld);
+          branchless_lower_bound(ld.data(), ld.size(), p.ld);
       ASSERT_TRUE(at == ld.size() || ld[at] >= p.ld);
       ASSERT_TRUE(at == 0 || ld[at - 1] < p.ld);
     }
@@ -134,7 +134,40 @@ TEST(FrontierKernels, LowerBoundAndDominatesMatchDeliveryFunction) {
 // The engine probes frontiers of a few hundred pairs, so the search is
 // checked at every lane length up to 600 -- every 2^k - 1, 2^k and
 // 2^k + 1 through 513 included -- against std::lower_bound's index.
+// MeasureCdfAccumulator::add_segment searches strictly increasing delay
+// grids of a few dozen points with arbitrary keys, so grids of 0..100
+// points are also probed with zeros of both signs, denormals, huge
+// values, infinities, exact grid hits and random keys.
 TEST(FrontierKernels, LowerBoundMatchesStdLowerBound) {
+  auto check = [](const std::vector<double>& lane, double x) {
+    const auto want = static_cast<std::size_t>(
+        std::lower_bound(lane.begin(), lane.end(), x) - lane.begin());
+    ASSERT_EQ(branchless_lower_bound(lane.data(), lane.size(), x), want)
+        << "n=" << lane.size() << " x=" << x;
+  };
+  const double tricky[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::min(),
+                           std::nextafter(1.0, 2.0),
+                           1e300,
+                           -1e300,
+                           kInf,
+                           -kInf};
+  for (std::size_t n = 0; n <= 100; ++n) {
+    Rng rng = Rng::keyed(0x51D2, n);
+    std::vector<double> grid(n);
+    double acc = -3.0;
+    for (double& g : grid) {
+      acc += 0.25 + rng.uniform(0.0, 2.0);
+      g = acc;
+    }
+    for (const double x : tricky) check(grid, x);
+    for (const double g : grid) check(grid, g);
+    for (int round = 0; round < 200; ++round)
+      check(grid, rng.uniform(-5.0, acc + 5.0));
+  }
   for (std::size_t n = 0; n <= 600; ++n) {
     Rng rng = Rng::keyed(0xF0B7, n);
     // Ascending lane with runs of tied values.
@@ -151,12 +184,7 @@ TEST(FrontierKernels, LowerBoundMatchesStdLowerBound) {
       keys.push_back(i + 1 < n ? (lane[i] + lane[i + 1]) / 2   // between
                                : lane[i] + 0.25);              // above all
     }
-    for (const double x : keys) {
-      const auto want = static_cast<std::size_t>(
-          std::lower_bound(lane.begin(), lane.end(), x) - lane.begin());
-      ASSERT_EQ(frontier_lower_bound(lane.data(), n, x), want)
-          << "n=" << n << " x=" << x;
-    }
+    for (const double x : keys) check(lane, x);
   }
 }
 
@@ -484,318 +512,47 @@ TEST(PooledEngine, DelayCdfMatchesDirectWithinTolerance) {
   EXPECT_GT(a.stats.arena_bytes_peak, 0u);
 }
 
-// ---------------------------------------------------------------------
-// SIMD dispatch: every CPU-supported level must be bit-identical to the
-// scalar reference -- primitives first (unaligned offsets, tail lengths
-// 0..15, denormals, +/-0.0), then the dispatched kernels, then a whole
-// delay-CDF run.
-// ---------------------------------------------------------------------
-
-std::vector<simd::Level> vector_levels() {
-  std::vector<simd::Level> out;
-  if (simd::cpu_supports(simd::Level::kSse42))
-    out.push_back(simd::Level::kSse42);
-  if (simd::cpu_supports(simd::Level::kAvx2))
-    out.push_back(simd::Level::kAvx2);
-  return out;
-}
-
-/// Forces a dispatch level for one scope; restores the entry level.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(simd::Level level)
-      : saved_(simd::active_level()) {
-    EXPECT_TRUE(simd::set_level(level));
-  }
-  ~ScopedSimdLevel() { simd::set_level(saved_); }
-
- private:
-  simd::Level saved_;
-};
-
-/// Adversarial payload values: zeros of both signs, denormals, values a
-/// ULP apart, and infinities (the identity pair's lanes).
-double tricky_value(Rng& rng) {
-  static const double pool[] = {
-      0.0,
-      -0.0,
-      std::numeric_limits<double>::denorm_min(),
-      -std::numeric_limits<double>::denorm_min(),
-      std::numeric_limits<double>::min(),
-      1.0,
-      std::nextafter(1.0, 2.0),
-      -1.0,
-      2.5,
-      1e300,
-      -1e300,
-      kInf,
-      -kInf,
-  };
-  return pool[rng.below(sizeof(pool) / sizeof(pool[0]))];
-}
-
-TEST(SimdParity, CountTailGeMatchesScalar) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (std::uint64_t trial = 0; trial < 40; ++trial) {
-      Rng rng = Rng::keyed(0x51D0, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      std::vector<double> buf(96);
-      for (double& v : buf) v = tricky_value(rng);
-      for (std::size_t off = 0; off < 8; ++off) {
-        for (std::size_t n = 0; n <= 16; ++n) {
-          const double bound = tricky_value(rng);
-          ASSERT_EQ(ops.count_tail_ge(buf.data() + off, n, bound),
-                    ref.count_tail_ge(buf.data() + off, n, bound))
-              << simd::level_name(level) << " off=" << off << " n=" << n
-              << " bound=" << bound;
-        }
-        const std::size_t big = 17 + rng.below(60);
-        const double bound = tricky_value(rng);
-        ASSERT_EQ(ops.count_tail_ge(buf.data() + off, big, bound),
-                  ref.count_tail_ge(buf.data() + off, big, bound))
-            << simd::level_name(level) << " off=" << off << " n=" << big;
-      }
-      // Strided (AoS ea lane) form over the same buffer.
-      for (std::size_t n = 0; n <= 15; ++n) {
-        const double bound = tricky_value(rng);
-        ASSERT_EQ(ops.count_tail_ge_stride2(buf.data() + 1, n, bound),
-                  ref.count_tail_ge_stride2(buf.data() + 1, n, bound))
-            << simd::level_name(level) << " n=" << n;
-      }
-      const std::size_t big = 16 + rng.below(32);
-      const double bound = tricky_value(rng);
-      ASSERT_EQ(ops.count_tail_ge_stride2(buf.data() + 1, big, bound),
-                ref.count_tail_ge_stride2(buf.data() + 1, big, bound))
-          << simd::level_name(level) << " n=" << big;
-    }
-  }
-}
-
-TEST(SimdParity, EqualPrefixSuffixMatchesScalar) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (std::uint64_t trial = 0; trial < 60; ++trial) {
-      Rng rng = Rng::keyed(0x51D1, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      const std::size_t an = rng.below(40), bn = rng.below(40);
-      std::vector<double> a0(an), a1(an), b0(bn), b1(bn);
-      for (std::size_t i = 0; i < an; ++i) {
-        a0[i] = tricky_value(rng);
-        a1[i] = tricky_value(rng);
-      }
-      // Start from a copy so long shared prefixes/suffixes are the norm,
-      // then knock holes into it; +/-0.0 flips stay value-equal and must
-      // NOT end a run.
-      for (std::size_t i = 0; i < bn; ++i) {
-        b0[i] = i < an ? a0[i] : tricky_value(rng);
-        b1[i] = i < an ? a1[i] : tricky_value(rng);
-        if (rng.bernoulli(0.12)) b0[i] = tricky_value(rng);
-        if (rng.bernoulli(0.12)) b1[i] = tricky_value(rng);
-        if (b0[i] == 0.0 && rng.bernoulli(0.5)) b0[i] = -b0[i];
-        if (b1[i] == 0.0 && rng.bernoulli(0.5)) b1[i] = -b1[i];
-      }
-      const std::size_t match_max = std::min(an, bn);
-      const std::size_t p_ref =
-          ref.equal_prefix2(a0.data(), a1.data(), b0.data(), b1.data(),
-                            match_max);
-      ASSERT_EQ(ops.equal_prefix2(a0.data(), a1.data(), b0.data(), b1.data(),
-                                  match_max),
-                p_ref)
-          << simd::level_name(level) << " trial=" << trial;
-      const std::size_t cap = match_max - p_ref;
-      ASSERT_EQ(ops.equal_suffix2(a0.data(), a1.data(), an, b0.data(),
-                                  b1.data(), bn, cap),
-                ref.equal_suffix2(a0.data(), a1.data(), an, b0.data(),
-                                  b1.data(), bn, cap))
-          << simd::level_name(level) << " trial=" << trial;
-    }
-  }
-}
-
-TEST(SimdParity, LowerBound4MatchesStdLowerBound) {
-  const simd::Ops& ref = simd::ops_for(simd::Level::kScalar);
-  for (const simd::Level level : vector_levels()) {
-    const simd::Ops& ops = simd::ops_for(level);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}, std::size_t{3},
-                                std::size_t{7}, std::size_t{48},
-                                std::size_t{100}}) {
-      Rng rng = Rng::keyed(0x51D2, (static_cast<std::uint64_t>(level) << 32) ^
-                                       n);
-      std::vector<double> grid(n);
-      double acc = -3.0;
-      for (double& g : grid) {
-        acc += 0.25 + rng.uniform(0.0, 2.0);
-        g = acc;
-      }
-      for (int round = 0; round < 50; ++round) {
-        double keys[4];
-        for (double& k : keys) {
-          switch (rng.below(4)) {
-            case 0:
-              k = tricky_value(rng);
-              break;
-            case 1:
-              k = n > 0 ? grid[rng.below(n)] : 0.0;  // exact grid hit
-              break;
-            case 2:
-              k = rng.uniform(-5.0, acc + 5.0);
-              break;
-            default:
-              k = rng.bernoulli(0.5) ? kInf : -kInf;
-          }
-        }
-        std::uint32_t got[4], want[4];
-        ops.lower_bound4(grid.data(), n, keys, got);
-        ref.lower_bound4(grid.data(), n, keys, want);
-        for (int k = 0; k < 4; ++k) {
-          const auto std_idx = static_cast<std::uint32_t>(
-              std::lower_bound(grid.begin(), grid.end(), keys[k]) -
-              grid.begin());
-          ASSERT_EQ(want[k], std_idx) << "scalar vs std n=" << n;
-          ASSERT_EQ(got[k], std_idx)
-              << simd::level_name(level) << " n=" << n << " key=" << keys[k];
-        }
-      }
-    }
-  }
-}
-
-/// Random pair stream with occasional -0.0 lanes and denormal-scale
-/// values, still frontier-legal (no NaNs).
-PathPair tricky_pair(Rng& rng) {
-  PathPair p = random_pair(rng);
-  if (p.ld == 0.0 && rng.bernoulli(0.5)) p.ld = -0.0;
-  if (p.ea == 0.0 && rng.bernoulli(0.5)) p.ea = -0.0;
-  if (rng.bernoulli(0.05))
-    p.ea = std::numeric_limits<double>::denorm_min() *
-           static_cast<double>(1 + rng.below(8));
-  return p;
-}
-
-TEST(SimdParity, PruneAndMergeBitIdenticalAcrossLevels) {
-  for (const simd::Level level : vector_levels()) {
-    ScopedSimdLevel forced(level);
-    for (std::uint64_t trial = 0; trial < 150; ++trial) {
-      Rng rng = Rng::keyed(0x51D3, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      // Large enough batches and frontiers to exercise the vector loops,
-      // small enough that ties and dominance chains stay common.
-      std::vector<PathPair> batch;
-      const std::size_t raw = rng.below(64);
-      for (std::size_t i = 0; i < raw; ++i) batch.push_back(tricky_pair(rng));
-      std::vector<PathPair> scalar_batch = batch;
-      std::vector<PathPair> sort_scratch;
-      const std::size_t kept =
-          prune_candidate_batch(batch.data(), batch.size(), sort_scratch);
-      const std::size_t kept_ref = prune_candidate_batch_scalar(
-          scalar_batch.data(), scalar_batch.size(), sort_scratch);
-      ASSERT_EQ(kept, kept_ref)
-          << simd::level_name(level) << " trial=" << trial;
-      for (std::size_t i = 0; i < kept; ++i)
-        ASSERT_EQ(batch[i], scalar_batch[i])
-            << simd::level_name(level) << " trial=" << trial << " i=" << i;
-
-      DeliveryFunction base;
-      const std::size_t attempts = rng.below(180);
-      for (std::size_t i = 0; i < attempts; ++i) base.insert(tricky_pair(rng));
-      const std::vector<double> f_ld = ld_lane(base), f_ea = ea_lane(base);
-      const std::size_t fn = base.size(), m = kept;
-      std::vector<double> out_ld(fn + m), out_ea(fn + m);
-      std::vector<double> d_ld(m), d_ea(m), d_succ(m);
-      std::vector<double> ref_out_ld(fn + m), ref_out_ea(fn + m);
-      std::vector<double> ref_d_ld(m), ref_d_ea(m), ref_d_succ(m);
-      const FrontierMerge got = merge_frontier(
-          f_ld.data(), f_ea.data(), fn, batch.data(), m, out_ld.data(),
-          out_ea.data(), d_ld.data(), d_ea.data(), d_succ.data());
-      const FrontierMerge want = merge_frontier_scalar(
-          f_ld.data(), f_ea.data(), fn, batch.data(), m, ref_out_ld.data(),
-          ref_out_ea.data(), ref_d_ld.data(), ref_d_ea.data(),
-          ref_d_succ.data());
-      ASSERT_EQ(got.kept, want.kept)
-          << simd::level_name(level) << " trial=" << trial;
-      ASSERT_EQ(got.kept_new, want.kept_new)
-          << simd::level_name(level) << " trial=" << trial;
-      for (std::size_t i = fn + m - got.kept; i < fn + m; ++i) {
-        ASSERT_EQ(out_ld[i], ref_out_ld[i]) << "trial=" << trial;
-        ASSERT_EQ(out_ea[i], ref_out_ea[i]) << "trial=" << trial;
-      }
-      for (std::size_t i = m - got.kept_new; i < m; ++i) {
-        ASSERT_EQ(d_ld[i], ref_d_ld[i]) << "trial=" << trial;
-        ASSERT_EQ(d_ea[i], ref_d_ea[i]) << "trial=" << trial;
-        ASSERT_EQ(d_succ[i], ref_d_succ[i]) << "trial=" << trial;
-      }
-    }
-  }
-}
-
-TEST(SimdParity, AddDeliverySegmentsBitIdenticalAcrossLevels) {
+TEST(FrontierKernels, AddDeliverySegmentsMatchesPerPairReference) {
+  // The single-window form must reproduce the per-pair reference walk
+  // (DeliveryFunction::accumulate_delay_measure) bit for bit; the
+  // multi-window form must equal one single-window call per window up to
+  // the reordering of its add_segment calls.
   const std::vector<double> grid = make_log_grid(1.0, 500.0, 48);
-  for (const simd::Level level : vector_levels()) {
-    for (std::uint64_t trial = 0; trial < 60; ++trial) {
-      Rng rng = Rng::keyed(0x51D4, (static_cast<std::uint64_t>(level) << 32) ^
-                                       trial);
-      DeliveryFunction f;
-      const std::size_t attempts = 1 + rng.below(120);
-      for (std::size_t i = 0; i < attempts; ++i) f.insert(random_pair(rng));
-      const std::vector<double> ld = ld_lane(f), ea = ea_lane(f);
-      const double t_lo = rng.uniform(-5.0, 5.0);
-      const double t_hi = t_lo + rng.uniform(0.0, 30.0);
-      const std::pair<double, double> windows[2] = {
-          {t_lo, t_lo + (t_hi - t_lo) / 3.0},
-          {t_lo + (t_hi - t_lo) / 2.0, t_hi}};
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    Rng rng = Rng::keyed(0x51D4, trial);
+    DeliveryFunction f;
+    const std::size_t attempts = 1 + rng.below(120);
+    for (std::size_t i = 0; i < attempts; ++i) f.insert(random_pair(rng));
+    const std::vector<double> ld = ld_lane(f), ea = ea_lane(f);
+    const double t_lo = rng.uniform(-5.0, 5.0);
+    const double t_hi = t_lo + rng.uniform(0.0, 30.0);
+    const double weight = rng.bernoulli(0.5) ? 1.0 : -0.5;
 
-      MeasureCdfAccumulator vec_acc(grid), ref_acc(grid);
-      {
-        ScopedSimdLevel forced(level);
-        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
-                                      t_hi);
-        vec_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
-                                      windows, 2, -0.5);
-      }
-      {
-        ScopedSimdLevel forced(simd::Level::kScalar);
-        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo,
-                                      t_hi);
-        ref_acc.add_delivery_segments(ld.data(), ea.data(), ld.size(),
-                                      windows, 2, -0.5);
-      }
-      vec_acc.add_observation_measure(t_hi - t_lo);
-      ref_acc.add_observation_measure(t_hi - t_lo);
-      const std::vector<double> got = vec_acc.cdf(), want = ref_acc.cdf();
-      for (std::size_t j = 0; j < grid.size(); ++j)
-        ASSERT_EQ(got[j], want[j])
-            << simd::level_name(level) << " trial=" << trial << " j=" << j;
-    }
-  }
-}
+    MeasureCdfAccumulator soa(grid), ref(grid);
+    soa.add_delivery_segments(ld.data(), ea.data(), ld.size(), t_lo, t_hi,
+                              weight);
+    f.accumulate_delay_measure(ref, t_lo, t_hi, weight);
+    soa.add_observation_measure(t_hi - t_lo);
+    ref.add_observation_measure(t_hi - t_lo);
+    const std::vector<double> got = soa.cdf(), want = ref.cdf();
+    for (std::size_t j = 0; j < grid.size(); ++j)
+      ASSERT_EQ(got[j], want[j]) << "trial=" << trial << " j=" << j;
 
-TEST(SimdParity, DelayCdfBitIdenticalAcrossLevels) {
-  Rng rng = Rng::keyed(0x51D5, 0);
-  const TemporalGraph g = random_trace(rng, 12, 160, 200.0);
-  DelayCdfOptions opt;
-  opt.grid = make_log_grid(1.0, 300.0, 24);
-  opt.max_hops = 6;
-  opt.num_threads = 1;
-  opt.engine = EngineMode::kPooled;
-  opt.accumulation = CdfAccumulation::kAuto;
-
-  ScopedSimdLevel baseline(simd::Level::kScalar);
-  const DelayCdfResult want = compute_delay_cdf(g, opt);
-  for (const simd::Level level : vector_levels()) {
-    ScopedSimdLevel forced(level);
-    const DelayCdfResult got = compute_delay_cdf(g, opt);
-    ASSERT_EQ(got.fixpoint_hops, want.fixpoint_hops);
-    for (std::size_t k = 0; k < want.cdf_by_hops.size(); ++k)
-      for (std::size_t j = 0; j < want.grid.size(); ++j)
-        ASSERT_EQ(got.cdf_by_hops[k][j], want.cdf_by_hops[k][j])
-            << simd::level_name(level) << " k=" << k << " j=" << j;
-    for (std::size_t j = 0; j < want.grid.size(); ++j)
-      ASSERT_EQ(got.cdf_unbounded[j], want.cdf_unbounded[j])
-          << simd::level_name(level) << " j=" << j;
+    const std::pair<double, double> windows[2] = {
+        {t_lo, t_lo + (t_hi - t_lo) / 3.0},
+        {t_lo + (t_hi - t_lo) / 2.0, t_hi}};
+    MeasureCdfAccumulator multi(grid), per_window(grid);
+    multi.add_delivery_segments(ld.data(), ea.data(), ld.size(), windows, 2,
+                                weight);
+    for (const auto& [lo, hi] : windows)
+      per_window.add_delivery_segments(ld.data(), ea.data(), ld.size(), lo,
+                                       hi, weight);
+    multi.add_observation_measure(t_hi - t_lo);
+    per_window.add_observation_measure(t_hi - t_lo);
+    const std::vector<double> m_got = multi.cdf(), m_want = per_window.cdf();
+    for (std::size_t j = 0; j < grid.size(); ++j)
+      ASSERT_NEAR(m_got[j], m_want[j], 1e-12)
+          << "trial=" << trial << " j=" << j;
   }
 }
 

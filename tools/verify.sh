@@ -44,10 +44,6 @@ echo "== tier-2b: parser + kernel + snapshot + live fuzz smoke under ASan+UBSan 
 # parses (including a stripped final newline) must match the one-shot
 # parser.
 ./build-sanitize/tools/odtn_fuzz --live 60 --seed 1
-# Forced-scalar pass: pins the dispatch layer to the mandatory fallback
-# so the scalar kernels stay exercised under the sanitizers even on
-# AVX2 hardware (the default run sweeps scalar..best-supported).
-ODTN_SIMD=scalar ./build-sanitize/tools/odtn_fuzz --kernel 300 --seed 1
 
 echo "== tier-3: TSan build + concurrency suites =="
 cmake --preset tsan
